@@ -13,17 +13,31 @@
 //! *feasible-by-construction* genome instead of rejecting over-budget
 //! configurations with a penalty constant — see
 //! [`run_cafqa_kt_on`](run_cafqa_kt_on#feasibility-and-determinism).
+//!
+//! The tier owns only its value kernel ([`KtCore`]: the exact or
+//! bound-screened branch-pair sum and the coarse rank probe). BO
+//! candidates and polish moves evaluate through the prefix-checkpoint
+//! cache shared with the Clifford tier ([`KtPolishSession`] is a
+//! [`PrefixCache`] over branch ensembles), and the polish endgame runs the
+//! shared greedy polish's kT coordinate and T-migration phases. The
+//! search needs an ansatz that compiles to a Clifford+T template;
+//! anything else is a structured [`KtError::NotCompilable`].
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use cafqa_bayesopt::{minimize_with, BoOptions, ForestOptions, SearchSpace};
+use cafqa_bayesopt::{minimize_with, SearchSpace};
 use cafqa_circuit::{Ansatz, CompiledAnsatz};
 use cafqa_clifford::{BranchEnsemble, MAX_BRANCH_GATES};
 use cafqa_pauli::PauliOp;
 
 use crate::engine::ExecEngine;
 use crate::objective::{ObjectiveValue, Penalty};
-use crate::runner::{chain_accept, run_cafqa_on, CafqaOptions, SearchPoint};
+use crate::polish::{
+    incumbent_or_origin, search_trace, Greedy, Neighborhood, Phase, PolishMove, PrefixCache,
+    TierKernel,
+};
+use crate::runner::{run_cafqa_on, CafqaOptions, SearchPoint};
 
 /// Why a CAFQA+kT search could not start.
 ///
@@ -53,6 +67,10 @@ pub enum KtError {
         /// The budget it violates.
         k_max: usize,
     },
+    /// The ansatz does not compile to a Clifford+T template, so no
+    /// branch-ensemble evaluator exists for `k_max > 0` (a zero budget
+    /// still delegates to the Clifford search).
+    NotCompilable,
 }
 
 impl std::fmt::Display for KtError {
@@ -66,6 +84,9 @@ impl std::fmt::Display for KtError {
                     f,
                     "seed {seed} uses {t_count} non-Clifford rotations, over the budget k_max = {k_max}"
                 )
+            }
+            KtError::NotCompilable => {
+                write!(f, "the ansatz does not compile to a Clifford+T template")
             }
         }
     }
@@ -223,10 +244,8 @@ fn term_tol(tol: f64, coeff: f64) -> f64 {
     }
 }
 
-/// [`value_of`] behind the quadratic-Clifford bound screen: each term's
-/// class loop runs [`BranchEnsemble::pair_sum_screened`] at the term's
-/// [`term_tol`] (penalty terms screen at their weighted coefficient), and
-/// the second return is the total skipped-class count. `tol = 0.0`
+/// [`value_of`] behind the quadratic-Clifford bound screen at the
+/// term's [`term_tol`], and the total skipped-class count. `tol = 0.0`
 /// delegates to [`value_of`] — the exact path stays frozen, bit for bit,
 /// with zero screening overhead.
 fn value_of_screened(
@@ -238,12 +257,25 @@ fn value_of_screened(
     if tol == 0.0 {
         return (value_of(terms, penalties, state), 0);
     }
+    screened_fold(terms, penalties, state, |coeff| term_tol(tol, coeff))
+}
+
+/// The screened term fold: each term's class loop runs
+/// [`BranchEnsemble::pair_sum_screened`] at `class_tol` of the term's
+/// coefficient (penalty terms at their weighted coefficient); the second
+/// return is the total skipped-class count.
+fn screened_fold(
+    terms: &[MaskTerm],
+    penalties: &[MaskPenalty],
+    state: &BranchEnsemble,
+    class_tol: impl Fn(f64) -> f64,
+) -> (ObjectiveValue, u64) {
     let frames = state.frames();
     let classes = frames.num_branches();
     let mut skipped = 0u64;
     let mut energy = 0.0;
     for &(px, pz, c) in terms {
-        let s = state.pair_sum_screened(&frames, px, pz, 0..classes, term_tol(tol, c));
+        let s = state.pair_sum_screened(&frames, px, pz, 0..classes, class_tol(c));
         energy += c * s.sum;
         skipped += s.skipped_classes as u64;
     }
@@ -251,7 +283,7 @@ fn value_of_screened(
     for &(weight, ref ops) in penalties {
         let mut v = 0.0;
         for &(px, pz, c) in ops {
-            let s = state.pair_sum_screened(&frames, px, pz, 0..classes, term_tol(tol, weight * c));
+            let s = state.pair_sum_screened(&frames, px, pz, 0..classes, class_tol(weight * c));
             v += c * s.sum;
             skipped += s.skipped_classes as u64;
         }
@@ -267,117 +299,75 @@ fn value_of_screened(
 /// term instead of the full `O(4^t)`.
 const KT_RANK_BOUND: f64 = 0.5;
 
-/// The coarse penalized score used to rank candidate moves before exact
-/// evaluation: every term screened at the uniform [`KT_RANK_BOUND`].
-/// Scores are compared against each other only — they never enter the
-/// trace or the greedy acceptance chain.
-fn rank_value_of(terms: &[MaskTerm], penalties: &[MaskPenalty], state: &BranchEnsemble) -> f64 {
-    let frames = state.frames();
-    let classes = frames.num_branches();
-    let mut energy = 0.0;
-    for &(px, pz, c) in terms {
-        energy += c * state.pair_sum_screened(&frames, px, pz, 0..classes, KT_RANK_BOUND).sum;
-    }
-    let mut penalized = energy;
-    for &(weight, ref ops) in penalties {
-        let mut v = 0.0;
-        for &(px, pz, c) in ops {
-            v += c * state.pair_sum_screened(&frames, px, pz, 0..classes, KT_RANK_BOUND).sum;
-        }
-        penalized += weight * v;
-    }
-    penalized
-}
-
-/// The shared, engine-shippable core of a kT search: the Clifford+T
-/// compiled template plus the Hamiltonian and penalty terms in mask
-/// form. Mirrors the Clifford search's `EvalCore` — cheap to clone into
-/// worker tasks behind an [`Arc`], with all per-candidate mutable state
-/// in a scratch [`BranchEnsemble`].
-pub(crate) struct KtCore {
-    num_qubits: usize,
+/// The shared, engine-shippable core of a kT search — the tier's
+/// [`TierKernel`]: the Clifford+T compiled template plus the Hamiltonian
+/// and penalty terms in mask form, evaluated on [`BranchEnsemble`]
+/// states (a checkpoint may hold open branch frames, so the prefix cache
+/// works *across the T-gate frontier*). Each value is a pure function of
+/// the prepared state, so traces are bit-identical at any worker count.
+pub struct KtCore {
     template: CompiledAnsatz,
     terms: Vec<MaskTerm>,
     penalties: Vec<MaskPenalty>,
     /// [`CafqaOptions::screen_tolerance`]: 0.0 runs the frozen exact
     /// [`value_of`] path, anything larger the bound-screened one.
     screen_tolerance: f64,
+    /// XOR classes the bound screen skipped across every evaluation. A
+    /// plain integer sum (a statistic publishing no other data, hence
+    /// `Relaxed`), so it does not depend on chunking or worker count.
+    skipped_classes: AtomicU64,
 }
 
-/// An incremental evaluator for 8-ary configurations sharing a common
-/// prefix — the kT counterpart of the Clifford search's `PolishSession`,
-/// with the checkpoint state a [`BranchEnsemble`] so the prefix cache
-/// works *across the T-gate frontier* (a checkpoint may hold open branch
-/// frames; suffix replay conjugates them like any other state).
-///
-/// Variant batches shard over the session's engine; each variant's value
-/// is a pure function of the variant alone, and shard results reassemble
-/// in submission order, so traces are bit-identical at any worker count.
-pub struct KtPolishSession {
-    core: Arc<KtCore>,
-    engine: ExecEngine,
-    /// State after template ops `0..prefix_end` under `prefix_config`.
-    prefix: Arc<BranchEnsemble>,
-    prefix_config: Vec<usize>,
-    prefix_end: usize,
-    /// The template's layer boundaries (`CompiledAnsatz::layer_starts`).
-    layers: Vec<usize>,
-    /// Per-boundary snapshots, mirroring the Clifford
-    /// `PolishSession` stack: `stack[i]` (when `Some`) holds the state
-    /// after ops `0..layers[i]` under a configuration agreeing with
-    /// `prefix_config` on every parameter read before `layers[i]` — so
-    /// rewinds restore a snapshot instead of rebuilding from `|0…0⟩`.
-    stack: Vec<Option<Arc<BranchEnsemble>>>,
-    backward_seeks: u64,
-    stack_restores: u64,
-    skipped_classes: u64,
+impl TierKernel for KtCore {
+    type State = BranchEnsemble;
+    /// Two chunks per worker: variants differ in T count, and so in
+    /// branch count and cost.
+    const SHARDS_PER_WORKER: usize = 2;
+
+    fn template(&self) -> &CompiledAnsatz {
+        &self.template
+    }
+
+    fn dispatches(&self, len: usize) -> bool {
+        len > 1
+    }
+
+    fn value(
+        self: &Arc<Self>,
+        state: &Arc<BranchEnsemble>,
+        _engine: Option<&ExecEngine>,
+    ) -> ObjectiveValue {
+        let (value, skipped) =
+            value_of_screened(&self.terms, &self.penalties, state, self.screen_tolerance);
+        self.skipped_classes.fetch_add(skipped, Ordering::Relaxed);
+        value
+    }
+
+    /// The coarse penalized score: every term screened at the uniform
+    /// [`KT_RANK_BOUND`].
+    fn rank(&self, state: &BranchEnsemble) -> f64 {
+        screened_fold(&self.terms, &self.penalties, state, |_| KT_RANK_BOUND).0.penalized
+    }
 }
 
-impl KtPolishSession {
-    pub(crate) fn new(core: Arc<KtCore>, engine: ExecEngine) -> Self {
-        let d = core.template.num_parameters();
-        let prefix = Arc::new(BranchEnsemble::zero_state(core.num_qubits));
-        let layers = core.template.layer_starts().to_vec();
-        let stack = vec![None; layers.len()];
-        KtPolishSession {
-            core,
-            engine,
-            prefix,
-            prefix_config: vec![0; d],
-            prefix_end: 0,
-            layers,
-            stack,
-            backward_seeks: 0,
-            stack_restores: 0,
-            skipped_classes: 0,
-        }
-    }
+/// An incremental evaluator for 8-ary configurations: the
+/// [`PrefixCache`] over branch ensembles, built by [`kt_session`].
+pub type KtPolishSession = PrefixCache<KtCore>;
 
-    /// `(backward_seeks, stack_restores)`: seeks that could not reuse the
-    /// running checkpoint, and how many of those restored a layer
-    /// snapshot instead of rebuilding the prefix from `|0…0⟩`.
-    pub fn seek_stats(&self) -> (u64, u64) {
-        (self.backward_seeks, self.stack_restores)
-    }
-
+impl PrefixCache<KtCore> {
     /// Total XOR classes the bound screen skipped across every evaluation
     /// this session ran. 0 while `screen_tolerance = 0`; deterministic at
     /// any worker count (integer accumulation is order-independent).
     pub fn skipped_classes(&self) -> u64 {
-        self.skipped_classes
+        self.kernel().skipped_classes.load(Ordering::Relaxed)
     }
 
     /// Evaluates arbitrary full configurations (no shared prefix): the
     /// engine-batched candidate path of the BO phase.
     pub fn evaluate_batch(&mut self, configs: &[Vec<usize>]) -> Vec<ObjectiveValue> {
-        if self.prefix_end != 0 {
-            let config = self.prefix_config.clone();
-            Arc::make_mut(&mut self.prefix)
-                .run_compiled_prefix(&self.core.template, &config, 0)
-                .expect("an empty prefix opens no branches");
-            self.prefix_end = 0;
-        }
-        self.evaluate_from_prefix(configs)
+        let moves: Vec<PolishMove> =
+            configs.iter().map(|config| config.iter().copied().enumerate().collect()).collect();
+        self.evaluate_moves(&moves)
     }
 
     /// Evaluates variants of `base` that differ only at the parameters
@@ -390,179 +380,35 @@ impl KtPolishSession {
         changed: &[usize],
         variants: &[Vec<usize>],
     ) -> Vec<ObjectiveValue> {
-        let target_end =
-            changed.iter().map(|&p| self.core.template.first_op_of(p)).min().unwrap_or(0);
-        self.seek(base, target_end);
-        self.evaluate_from_prefix(variants)
+        Neighborhood::evaluate(self, base, &variant_moves(changed, variants))
     }
 
     /// Coarse bound-screened scores for variants of `base` (same prefix
     /// contract as [`Self::evaluate_variants`]) — the move-*ranking*
     /// probe: every term's class loop truncated at [`KT_RANK_BOUND`], so
     /// a score costs `O((1+t)·2^t)` per term instead of `O(4^t)`. Scores
-    /// shard over the engine exactly like exact values (pure per-variant
-    /// functions reassembled in submission order) and never enter the
-    /// trace.
+    /// shard over the engine exactly like exact values and never enter
+    /// the trace.
     pub fn rank_variants(
         &mut self,
         base: &[usize],
         changed: &[usize],
         variants: &[Vec<usize>],
     ) -> Vec<f64> {
-        let target_end =
-            changed.iter().map(|&p| self.core.template.first_op_of(p)).min().unwrap_or(0);
-        self.seek(base, target_end);
-        self.shard_from_prefix(variants, |core, state| {
-            rank_value_of(&core.terms, &core.penalties, state)
-        })
+        Neighborhood::rank(self, base, &variant_moves(changed, variants))
     }
+}
 
-    /// Advances (or rewinds) the prefix checkpoint to cover template
-    /// ops `0..target_end` under `base`. The running checkpoint is
-    /// reused when every parameter it already consumed agrees with
-    /// `base` — so ascending coordinate sweeps extend it incrementally;
-    /// when it cannot be (a rewind, or a stale prefix), the deepest
-    /// still-valid layer snapshot at or below the target is restored and
-    /// only the ops past it replay, with a rebuild from `|0…0⟩` as the
-    /// last resort. Forward advances snapshot every layer boundary they
-    /// cross, so the stack refills as the sweep proceeds.
-    fn seek(&mut self, base: &[usize], target_end: usize) {
-        let template = &self.core.template;
-        // Earliest op reading a parameter where `base` disagrees with
-        // the configuration the checkpoint and snapshots were built
-        // under; snapshots past it are not prefix states of `base`.
-        let diff_first = base
-            .iter()
-            .zip(&self.prefix_config)
-            .enumerate()
-            .filter(|(_, (a, b))| a != b)
-            .map(|(p, _)| template.first_op_of(p))
-            .min()
-            .unwrap_or(usize::MAX);
-        for (i, slot) in self.stack.iter_mut().enumerate() {
-            if self.layers[i] > diff_first {
-                *slot = None;
-            }
-        }
-        let reusable = target_end >= self.prefix_end && self.prefix_end <= diff_first;
-        if !reusable {
-            self.backward_seeks += 1;
-            let restore = (0..self.layers.len())
-                .rev()
-                .find(|&i| self.layers[i] <= target_end && self.stack[i].is_some());
-            match restore {
-                Some(i) => {
-                    let ckpt = Arc::clone(self.stack[i].as_ref().expect("found Some above"));
-                    Arc::make_mut(&mut self.prefix).copy_from(&ckpt);
-                    self.prefix_end = self.layers[i];
-                    self.stack_restores += 1;
-                }
-                None => {
-                    Arc::make_mut(&mut self.prefix)
-                        .run_compiled_prefix(template, base, 0)
-                        .expect("an empty prefix opens no branches");
-                    self.prefix_end = 0;
-                }
-            }
-        }
-        while self.prefix_end < target_end {
-            let next = self.layers.iter().position(|&b| b > self.prefix_end && b <= target_end);
-            let prefix = Arc::make_mut(&mut self.prefix);
-            let stop = match next {
-                Some(i) => self.layers[i],
-                None => target_end,
-            };
-            prefix
-                .apply_range(template, base, self.prefix_end, stop)
-                .expect("a prefix of a feasible configuration stays within the branch budget");
-            self.prefix_end = stop;
-            if let Some(i) = next {
-                match &mut self.stack[i] {
-                    Some(ckpt) => Arc::make_mut(ckpt).copy_from(prefix),
-                    slot => *slot = Some(Arc::new(prefix.clone())),
-                }
-            }
-        }
-        self.prefix_config.clear();
-        self.prefix_config.extend_from_slice(base);
-    }
-
-    /// Checkpoint + suffix replay for every variant through the
-    /// (possibly screened) objective, with the skipped-class counts
-    /// folded into the session counter. The fold is a plain integer sum,
-    /// so the counter — like the values — does not depend on chunking or
-    /// worker count.
-    fn evaluate_from_prefix(&mut self, variants: &[Vec<usize>]) -> Vec<ObjectiveValue> {
-        let results = self.shard_from_prefix(variants, |core, state| {
-            value_of_screened(&core.terms, &core.penalties, state, core.screen_tolerance)
-        });
-        results
-            .into_iter()
-            .map(|(value, skipped)| {
-                self.skipped_classes += skipped;
-                value
-            })
-            .collect()
-    }
-
-    /// The sharding skeleton shared by exact evaluation and move
-    /// ranking: checkpoint + suffix replay per variant, in candidate
-    /// chunks over the engine (chunking cannot change any result: each
-    /// variant is processed wholly by one task, and results reassemble
-    /// in submission order).
-    fn shard_from_prefix<T, F>(&self, variants: &[Vec<usize>], kernel: F) -> Vec<T>
-    where
-        T: Send + 'static,
-        F: Fn(&KtCore, &BranchEnsemble) -> T + Send + Sync + Clone + 'static,
-    {
-        let end = self.prefix_end;
-        let ops_len = self.core.template.ops().len();
-        if variants.len() > 1 && self.engine.is_pooled() {
-            let chunk = variants.len().div_ceil(self.engine.workers() * 2).max(1);
-            let tasks: Vec<_> = variants
-                .chunks(chunk)
-                .map(|chunk| {
-                    let core = Arc::clone(&self.core);
-                    let prefix = Arc::clone(&self.prefix);
-                    let chunk = chunk.to_vec();
-                    let kernel = kernel.clone();
-                    move || {
-                        let mut scratch = (*prefix).clone();
-                        chunk
-                            .iter()
-                            .map(|config| {
-                                scratch.copy_from(&prefix);
-                                scratch
-                                    .apply_range(&core.template, config, end, ops_len)
-                                    .expect("feasible suffix stays within the branch budget");
-                                kernel(&core, &scratch)
-                            })
-                            .collect::<Vec<_>>()
-                    }
-                })
-                .collect();
-            self.engine.map(tasks).into_iter().flatten().collect()
-        } else {
-            let mut scratch = (*self.prefix).clone();
-            variants
-                .iter()
-                .map(|config| {
-                    scratch.copy_from(&self.prefix);
-                    scratch
-                        .apply_range(&self.core.template, config, end, ops_len)
-                        .expect("feasible suffix stays within the branch budget");
-                    kernel(&self.core, &scratch)
-                })
-                .collect()
-        }
-    }
+/// The polish moves patching `changed` to each variant's values.
+fn variant_moves(changed: &[usize], variants: &[Vec<usize>]) -> Vec<PolishMove> {
+    variants.iter().map(|v| changed.iter().map(|&p| (p, v[p])).collect()).collect()
 }
 
 /// Builds a standalone [`KtPolishSession`] for a template-expressible
 /// ansatz — the screened-vs-exact A/B hook the benches and equivalence
-/// tests drive directly (the search itself builds its session
-/// internally). Returns `None` when the ansatz cannot compile to a
-/// Clifford+T template.
+/// tests drive directly, and the evaluator the search itself runs on.
+/// Returns `None` when the ansatz cannot compile to a Clifford+T
+/// template.
 pub fn kt_session(
     engine: &ExecEngine,
     ansatz: &dyn Ansatz,
@@ -571,229 +417,16 @@ pub fn kt_session(
     screen_tolerance: f64,
 ) -> Option<KtPolishSession> {
     let template = CompiledAnsatz::compile_clifford_t(ansatz)?;
+    let base = vec![0; template.num_parameters()];
     let core = KtCore {
-        num_qubits: ansatz.num_qubits(),
         template,
         terms: masks_of(hamiltonian),
         penalties: penalties.iter().map(|p| (p.weight, masks_of(p.squared_op()))).collect(),
         screen_tolerance,
+        skipped_classes: AtomicU64::new(0),
     };
-    Some(KtPolishSession::new(Arc::new(core), engine.clone()))
-}
-
-/// The polish endgame's accumulated outcome.
-struct KtPolish {
-    best_config: Vec<usize>,
-    best_value: ObjectiveValue,
-    trace: Vec<(f64, f64)>,
-    last_accept: Option<usize>,
-    screened_moves: u64,
-}
-
-/// The evaluator the polish driver calls, always with
-/// `(base config, changed params, variants)`: `exact` values enter the
-/// trace and the greedy chain; `rank` scores only order a batch before
-/// the survivors are evaluated exactly.
-trait KtPolishEval {
-    fn exact(
-        &mut self,
-        base: &[usize],
-        changed: &[usize],
-        variants: &[Vec<usize>],
-    ) -> Vec<ObjectiveValue>;
-    fn rank(&mut self, base: &[usize], changed: &[usize], variants: &[Vec<usize>]) -> Vec<f64>;
-}
-
-/// Ranks a variant batch with the coarse bound-screened scores and keeps
-/// the `rank_top` best-looking moves, restored to sweep order — the kT
-/// counterpart of the Clifford polish's `polish_screen_top` surrogate
-/// screen. The stable sort breaks score ties on batch index, so the
-/// pruned set (and hence the trace over the survivors) is deterministic.
-fn screen_moves(
-    eval: &mut dyn KtPolishEval,
-    base: &[usize],
-    changed: &[usize],
-    variants: Vec<Vec<usize>>,
-    rank_top: usize,
-) -> (Vec<Vec<usize>>, u64) {
-    if rank_top == 0 || variants.len() <= rank_top {
-        return (variants, 0);
-    }
-    let scores = eval.rank(base, changed, &variants);
-    let mut order: Vec<usize> = (0..variants.len()).collect();
-    order.sort_by(|&a, &b| scores[a].total_cmp(&scores[b]));
-    let mut keep = order[..rank_top].to_vec();
-    keep.sort_unstable();
-    let pruned = (variants.len() - rank_top) as u64;
-    (keep.into_iter().map(|k| variants[k].clone()).collect(), pruned)
-}
-
-/// 8-ary greedy polish: coordinate sweeps over the eighth-turn grid
-/// (budget-filtered: a move may open a branch only while `t < k_max`)
-/// followed by T-*migration* pair moves that relocate one non-Clifford
-/// rotation to a different parameter at constant T count — the joint
-/// move a single-coordinate sweep cannot make without first leaving the
-/// budget or crossing an energy barrier. Acceptance replays the serial
-/// greedy chain via [`chain_accept`], so the trace is independent of how
-/// the variant batches were computed.
-///
-/// With `rank_top > 0` every batch larger than `rank_top` is first
-/// ordered by the coarse bound-screened score ([`screen_moves`]) and
-/// only the top `rank_top` moves are evaluated exactly; pruned moves
-/// never enter the trace.
-fn polish_kt(
-    eval: &mut dyn KtPolishEval,
-    start: Vec<usize>,
-    start_value: ObjectiveValue,
-    k_max: usize,
-    sweeps: usize,
-    rank_top: usize,
-) -> KtPolish {
-    let d = start.len();
-    let mut best_config = start;
-    let mut best_value = start_value;
-    let mut trace: Vec<(f64, f64)> = Vec::new();
-    let mut last_accept: Option<usize> = None;
-    let mut screened_moves = 0u64;
-    for _sweep in 0..sweeps {
-        let mut improved = false;
-        // Coordinate phase: every alternative eighth-turn per parameter
-        // that keeps the configuration under budget, one batch per
-        // coordinate.
-        for i in 0..d {
-            let current = best_config[i];
-            let t = t_count_of(&best_config);
-            let variants: Vec<Vec<usize>> = (0..8)
-                .filter(|&v| v != current && t - current % 2 + v % 2 <= k_max)
-                .map(|v| {
-                    let mut config = best_config.clone();
-                    config[i] = v;
-                    config
-                })
-                .collect();
-            if variants.is_empty() {
-                continue;
-            }
-            let (variants, pruned) = screen_moves(eval, &best_config, &[i], variants, rank_top);
-            screened_moves += pruned;
-            let values = eval.exact(&best_config, &[i], &variants);
-            let base_len = trace.len();
-            trace.extend(values.iter().map(|v| (v.energy, v.penalized)));
-            if let Some(idx) = chain_accept(&values, best_value.penalized, 1e-12) {
-                best_config.clone_from(&variants[idx]);
-                best_value = values[idx];
-                last_accept = Some(base_len + idx + 1);
-                improved = true;
-            }
-        }
-        // Migration phase: move each T to every Clifford parameter, both
-        // removal directions × both insertion directions per target.
-        if k_max > 0 {
-            let odd_params: Vec<usize> = (0..d).filter(|&i| best_config[i] % 2 == 1).collect();
-            for i in odd_params {
-                for j in 0..d {
-                    if best_config[i] % 2 == 0 {
-                        break; // this T already migrated away
-                    }
-                    if j == i || best_config[j] % 2 == 1 {
-                        continue;
-                    }
-                    let mut variants = Vec::with_capacity(4);
-                    for di in [1usize, 7] {
-                        for dj in [1usize, 7] {
-                            let mut config = best_config.clone();
-                            config[i] = (config[i] + di) % 8;
-                            config[j] = (config[j] + dj) % 8;
-                            variants.push(config);
-                        }
-                    }
-                    let (variants, pruned) =
-                        screen_moves(eval, &best_config, &[i, j], variants, rank_top);
-                    screened_moves += pruned;
-                    let values = eval.exact(&best_config, &[i, j], &variants);
-                    let base_len = trace.len();
-                    trace.extend(values.iter().map(|v| (v.energy, v.penalized)));
-                    if let Some(idx) = chain_accept(&values, best_value.penalized, 1e-12) {
-                        best_config.clone_from(&variants[idx]);
-                        best_value = values[idx];
-                        last_accept = Some(base_len + idx + 1);
-                        improved = true;
-                    }
-                }
-            }
-        }
-        if !improved {
-            break;
-        }
-    }
-    KtPolish { best_config, best_value, trace, last_accept, screened_moves }
-}
-
-/// The search's evaluator: the compiled incremental session when the
-/// ansatz is template-expressible, per-candidate circuit lowering
-/// otherwise (serial: the borrowed ansatz cannot ship to pool workers).
-/// Both paths run the same (possibly screened) objective and accumulate
-/// the same counters.
-struct KtEvaluator<'a> {
-    session: Option<KtPolishSession>,
-    ansatz: &'a dyn Ansatz,
-    terms: &'a [MaskTerm],
-    penalties: &'a [MaskPenalty],
-    screen_tolerance: f64,
-    fallback_skipped: u64,
-}
-
-impl KtEvaluator<'_> {
-    fn fallback_state(&self, config: &[usize]) -> BranchEnsemble {
-        BranchEnsemble::from_circuit(&self.ansatz.bind_eighth(config))
-            .expect("t budget keeps the branch count in range")
-    }
-
-    fn fallback_value(&mut self, config: &[usize]) -> ObjectiveValue {
-        let state = self.fallback_state(config);
-        let (value, skipped) =
-            value_of_screened(self.terms, self.penalties, &state, self.screen_tolerance);
-        self.fallback_skipped += skipped;
-        value
-    }
-
-    /// Arbitrary full configurations — the BO phase's candidate path.
-    fn eval_batch(&mut self, configs: &[Vec<usize>]) -> Vec<ObjectiveValue> {
-        match &mut self.session {
-            Some(session) => session.evaluate_batch(configs),
-            None => configs.iter().map(|config| self.fallback_value(config)).collect(),
-        }
-    }
-
-    fn skipped_classes(&self) -> u64 {
-        self.fallback_skipped + self.session.as_ref().map_or(0, |s| s.skipped_classes())
-    }
-}
-
-impl KtPolishEval for KtEvaluator<'_> {
-    fn exact(
-        &mut self,
-        base: &[usize],
-        changed: &[usize],
-        variants: &[Vec<usize>],
-    ) -> Vec<ObjectiveValue> {
-        match &mut self.session {
-            Some(session) => session.evaluate_variants(base, changed, variants),
-            None => variants.iter().map(|config| self.fallback_value(config)).collect(),
-        }
-    }
-
-    fn rank(&mut self, base: &[usize], changed: &[usize], variants: &[Vec<usize>]) -> Vec<f64> {
-        match &mut self.session {
-            Some(session) => session.rank_variants(base, changed, variants),
-            None => variants
-                .iter()
-                .map(|config| {
-                    rank_value_of(self.terms, self.penalties, &self.fallback_state(config))
-                })
-                .collect(),
-        }
-    }
+    let zero = BranchEnsemble::zero_state(ansatz.num_qubits());
+    Some(PrefixCache::new(Arc::new(core), Some(engine.clone()), base, zero))
 }
 
 /// Runs the CAFQA+kT search with at most `k_max` T-like rotations, on
@@ -808,7 +441,9 @@ impl KtPolishEval for KtEvaluator<'_> {
 ///
 /// [`KtError::BudgetTooLarge`] when `k_max` exceeds
 /// [`MAX_BRANCH_GATES`]; [`KtError::SeedInfeasible`] when a seed uses
-/// more than `k_max` non-Clifford rotations.
+/// more than `k_max` non-Clifford rotations;
+/// [`KtError::NotCompilable`] when `k_max > 0` and the ansatz does not
+/// compile to a Clifford+T template.
 pub fn run_cafqa_kt(
     ansatz: &dyn Ansatz,
     hamiltonian: &PauliOp,
@@ -849,10 +484,12 @@ pub fn run_cafqa_kt(
 ///   worker count — including to 1 — changes no bit of the trace,
 ///   matching the Clifford search's contract.
 ///
-/// The polish endgame ([`KtPolishSession`]) extends the incremental
-/// prefix-checkpoint kernel across the T-gate frontier and adds
-/// T-migration pair moves at constant T count; its greedy acceptance
-/// fold only ever improves on the BO incumbent.
+/// The polish endgame runs the greedy sweeps shared with the Clifford
+/// search on the prefix-checkpoint cache ([`KtPolishSession`]), which
+/// extends the incremental kernel across the T-gate frontier; its kT
+/// phases add T-migration pair moves at constant T count, and its one
+/// acceptance fold only ever improves on the BO incumbent (the all-zero
+/// configuration when the BO phase produced none).
 ///
 /// With [`CafqaOptions::screen_tolerance`] or
 /// [`CafqaOptions::kt_rank_top`] nonzero, evaluations run behind the
@@ -909,48 +546,17 @@ pub fn run_cafqa_kt_on(
         });
     }
 
-    let terms = masks_of(hamiltonian);
-    let penalty_masks: Vec<MaskPenalty> =
-        penalties.iter().map(|p| (p.weight, masks_of(p.squared_op()))).collect();
-    // Template-expressible ansätze get the compiled incremental path;
-    // anything else falls back to per-candidate circuit lowering (serial:
-    // the borrowed ansatz cannot ship to pool workers).
-    let session = CompiledAnsatz::compile_clifford_t(ansatz).map(|template| {
-        let core = KtCore {
-            num_qubits: ansatz.num_qubits(),
-            template,
-            terms: terms.clone(),
-            penalties: penalty_masks.clone(),
-            screen_tolerance: opts.screen_tolerance,
-        };
-        KtPolishSession::new(Arc::new(core), engine.clone())
-    });
-    let mut evaluator = KtEvaluator {
-        session,
-        ansatz,
-        terms: &terms,
-        penalties: &penalty_masks,
-        screen_tolerance: opts.screen_tolerance,
-        fallback_skipped: 0,
-    };
+    let mut session = kt_session(engine, ansatz, hamiltonian, &penalties, opts.screen_tolerance)
+        .ok_or(KtError::NotCompilable)?;
 
     let space = kt_search_space(d, k_max);
     let mut raw_trace: Vec<(f64, f64)> = Vec::new();
-    let bo_opts = BoOptions {
-        warmup: opts.warmup,
-        iterations: opts.iterations,
-        seed: opts.seed,
-        patience: opts.patience,
-        proposals_per_refit: opts.proposals_per_refit,
-        forest: ForestOptions { window: opts.forest_window, ..Default::default() },
-        ..Default::default()
-    };
     let result = minimize_with(
         &space,
         |batch: &[Vec<usize>]| {
             let decoded: Vec<Vec<usize>> =
                 batch.iter().map(|genome| decode_genome(genome, d)).collect();
-            let values = evaluator.eval_batch(&decoded);
+            let values = session.evaluate_batch(&decoded);
             values
                 .iter()
                 .map(|v| {
@@ -960,37 +566,20 @@ pub fn run_cafqa_kt_on(
                 .collect()
         },
         &genome_seeds,
-        &bo_opts,
+        &opts.bo_options(),
         engine,
     );
-    let bo_evaluations = raw_trace.len();
-    let best_genome = if result.best_config.is_empty() {
-        vec![0; d + k_max] // zero-budget search phases: polish from the origin
-    } else {
-        result.best_config
-    };
-    let best8 = decode_genome(&best_genome, d);
+    let best8 = decode_genome(&incumbent_or_origin(result.best_config, d + k_max), d);
     let start_value = match raw_trace.get(result.iterations_to_best.wrapping_sub(1)) {
         Some(&(energy, penalized)) => ObjectiveValue { energy, penalized },
-        None => evaluator.eval_batch(std::slice::from_ref(&best8))[0],
+        None => session.evaluate_batch(std::slice::from_ref(&best8))[0],
     };
+    let mut polish = Greedy::new(best8, start_value);
+    let phases = [Phase::KtCoordinate(k_max), Phase::KtMigration];
+    polish.sweep(&mut session, opts.polish_sweeps, &phases, opts.kt_rank_top);
 
-    let polish =
-        polish_kt(&mut evaluator, best8, start_value, k_max, opts.polish_sweeps, opts.kt_rank_top);
-
-    let mut iterations_to_best = result.iterations_to_best;
-    if let Some(accept) = polish.last_accept {
-        iterations_to_best = bo_evaluations + accept;
-    }
-    raw_trace.extend(polish.trace.iter().copied());
-    let mut best = f64::INFINITY;
-    let trace: Vec<SearchPoint> = raw_trace
-        .iter()
-        .map(|&(energy, penalized)| {
-            best = best.min(penalized);
-            SearchPoint { energy, penalized, best_so_far: best }
-        })
-        .collect();
+    let (trace, iterations_to_best) =
+        search_trace(raw_trace, &polish.trace, polish.last_accept, result.iterations_to_best);
     Ok(CafqaKtResult {
         t_count: t_count_of(&polish.best_config),
         best_config: polish.best_config,
@@ -1001,7 +590,7 @@ pub fn run_cafqa_kt_on(
         iterations_to_best,
         polish_evaluations: polish.trace.len(),
         trace,
-        screened_classes: evaluator.skipped_classes(),
+        screened_classes: session.skipped_classes(),
         screened_moves: polish.screened_moves,
     })
 }
@@ -1062,6 +651,35 @@ mod tests {
             KtError::BudgetTooLarge { k_max: MAX_BRANCH_GATES + 1, max: MAX_BRANCH_GATES }
         );
         assert!(err.to_string().contains("branch-engine limit"));
+    }
+
+    #[test]
+    fn non_compilable_ansatz_is_a_structured_error() {
+        struct Scaled;
+        impl Ansatz for Scaled {
+            fn num_qubits(&self) -> usize {
+                1
+            }
+            fn num_parameters(&self) -> usize {
+                1
+            }
+            fn bind(&self, params: &[f64]) -> cafqa_circuit::Circuit {
+                // Arithmetic destroys the compile-probe sentinel; grid
+                // points still land on multiples of π/2 or π/4.
+                let mut c = cafqa_circuit::Circuit::new(1);
+                c.ry(0, 2.0 * params[0]);
+                c
+            }
+        }
+        let h: PauliOp = "Z".parse().unwrap();
+        let opts = CafqaOptions { warmup: 4, iterations: 4, ..Default::default() };
+        let err = run_cafqa_kt(&Scaled, &h, Vec::new(), 1, &[], &opts).unwrap_err();
+        assert_eq!(err, KtError::NotCompilable);
+        assert!(err.to_string().contains("Clifford+T template"));
+        // A zero budget still delegates to the Clifford search, whose
+        // non-compiled path re-prepares every candidate.
+        let clifford = run_cafqa_kt(&Scaled, &h, Vec::new(), 0, &[], &opts).unwrap();
+        assert_eq!(clifford.energy, -1.0);
     }
 
     #[test]

@@ -46,6 +46,7 @@ pub mod maxcut;
 pub mod metrics;
 pub mod microbench;
 mod objective;
+mod polish;
 mod runner;
 
 pub use engine::{default_workers, ExecEngine};
@@ -57,9 +58,8 @@ pub use kt::{
     kt_session, run_cafqa_kt, run_cafqa_kt_on, t_count_of, widen_clifford_config, CafqaKtResult,
     KtError, KtPolishSession,
 };
-pub use objective::{
-    CliffordObjective, EvalScratch, ObjectiveValue, Penalty, PolishMove, PolishSession,
-};
+pub use objective::{CliffordObjective, EvalScratch, ObjectiveValue, Penalty, PolishSession};
+pub use polish::{PolishMove, PrefixCache, PrefixState, TierKernel};
 pub use runner::{
     polish_on, polish_pair_list, run_cafqa, run_cafqa_on, run_cafqa_resumable_on, CafqaOptions,
     CafqaResult, MolecularCafqa, PolishOutcome, ResumeError, RunControl, RunProgress, RunStatus,

@@ -9,6 +9,7 @@ use cafqa_linalg::Complex64;
 use cafqa_pauli::{PauliOp, PauliString};
 
 use crate::engine::ExecEngine;
+use crate::polish::{PrefixCache, TierKernel};
 
 /// A quadratic sector penalty `weight · ⟨(O − target)²⟩`, the paper's
 /// mechanism for imposing electron-count (and spin) preservation directly
@@ -122,9 +123,10 @@ impl EvalScratch {
 /// penalties. It borrows nothing, so batch shards can carry an
 /// `Arc<EvalCore>` into the persistent worker pool as fully `'static`
 /// jobs — the trick that keeps the engine free of scoped threads (and
-/// the workspace free of `unsafe`).
+/// the workspace free of `unsafe`). It is also the Clifford tier's
+/// [`TierKernel`], behind [`PolishSession`].
 #[derive(Clone)]
-pub(crate) struct EvalCore {
+pub struct EvalCore {
     num_qubits: usize,
     /// The ansatz structure lowered once into primitive gates + rotation
     /// slots; `None` falls back to per-candidate `bind_clifford` lowering
@@ -262,62 +264,44 @@ impl EvalCore {
         scratch.tableau_mut().run_compiled(template, config);
         self.value_on_engine(&scratch.tableau, engine)
     }
+}
 
-    /// The incremental polish kernel: evaluates a *neighbor* of the
-    /// configuration a `prefix` checkpoint was prepared for, by restoring
-    /// the checkpoint into the scratch and replaying template ops from
-    /// `start` onward with the neighbor's `config` — instead of
-    /// `reset_zero` + full `run_compiled`. The caller guarantees `prefix`
-    /// holds the state after ops `0..start` of a configuration agreeing
-    /// with `config` on every slot read before `start`
-    /// (`CompiledAnsatz::first_op_of`); the resulting tableau — and
-    /// therefore every value — is then bit-identical to a full
-    /// re-preparation, because prefix + suffix is literally the same
-    /// integer gate sequence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ansatz did not compile (see [`Self::evaluate`]).
-    pub(crate) fn evaluate_neighbor(
-        &self,
-        scratch: &mut EvalScratch,
-        prefix: &Tableau,
-        start: usize,
-        config: &[usize],
-    ) -> ObjectiveValue {
-        self.prepare_neighbor(scratch, prefix, start, config);
-        self.value_on(&scratch.tableau)
+/// The Clifford tier's kernel: the fixed-association term sum, sharded
+/// over the engine for big Hamiltonians exactly like full evaluations.
+impl TierKernel for EvalCore {
+    type State = Tableau;
+    const SHARDS_PER_WORKER: usize = 1;
+
+    fn template(&self) -> &CompiledAnsatz {
+        self.template.as_ref().expect("polish sessions require a compiled template")
     }
 
-    /// [`Self::evaluate_neighbor`] with the large-Hamiltonian term sum
-    /// sharded over `engine` — the path polish-move shards running on the
-    /// pool take, so big-H neighbors reuse the fixed 8-chunk association
-    /// across idle workers exactly like [`Self::evaluate_on`].
-    pub(crate) fn evaluate_neighbor_on(
+    /// Rough per-candidate cost in row-update units against
+    /// [`BATCH_DISPATCH_THRESHOLD`]: engine dispatch costs a few µs per
+    /// shard, so tiny workloads stay serial.
+    fn dispatches(&self, len: usize) -> bool {
+        len * self.terms.len().max(1) * self.num_qubits.max(1) >= BATCH_DISPATCH_THRESHOLD
+    }
+
+    fn value(
         self: &Arc<Self>,
-        scratch: &mut EvalScratch,
-        prefix: &Arc<Tableau>,
-        start: usize,
-        config: &[usize],
-        engine: &ExecEngine,
+        state: &Arc<Tableau>,
+        engine: Option<&ExecEngine>,
     ) -> ObjectiveValue {
-        self.prepare_neighbor(scratch, prefix, start, config);
-        self.value_on_engine(&scratch.tableau, engine)
+        engine.map_or_else(|| self.value_on(state), |engine| self.value_on_engine(state, engine))
     }
 
-    fn prepare_neighbor(
-        &self,
-        scratch: &mut EvalScratch,
-        prefix: &Tableau,
-        start: usize,
-        config: &[usize],
-    ) {
-        let template = self.template.as_ref().expect("neighbor eval requires a compiled template");
-        let tableau = scratch.tableau_mut();
-        tableau.copy_from(prefix);
-        tableau.apply_from(template, config, start);
+    /// Clifford values are exact and cheap, so the rank score is the
+    /// exact penalized value.
+    fn rank(&self, state: &Tableau) -> f64 {
+        self.value_on(state).penalized
     }
 }
+
+/// An incremental Clifford polish session (see
+/// [`CliffordObjective::polish_session`]): the [`PrefixCache`] over
+/// stabilizer tableaus.
+pub type PolishSession = PrefixCache<EvalCore>;
 
 /// The CAFQA objective: binds discrete Clifford indices into the ansatz,
 /// simulates the stabilizer state, and returns `⟨H⟩` plus penalties.
@@ -400,24 +384,9 @@ impl<'a> CliffordObjective<'a> {
     ///
     /// Panics if `base` has the wrong length.
     pub fn polish_session(&self, base: Vec<usize>) -> Option<PolishSession> {
-        let template = self.core.template.as_ref()?;
-        assert_eq!(base.len(), template.num_parameters(), "base config length mismatch");
-        let layers = template.layer_starts().to_vec();
-        let stack = vec![None; layers.len()];
-        Some(PolishSession {
-            core: Arc::clone(&self.core),
-            engine: self.engine.clone(),
-            prefix: Arc::new(Tableau::zero_state(self.core.num_qubits)),
-            prefix_end: 0,
-            scratch: self.core.scratch(),
-            config_buf: base.clone(),
-            base,
-            layers,
-            stack,
-            use_stack: true,
-            backward_seeks: 0,
-            stack_restores: 0,
-        })
+        self.core.template.as_ref()?;
+        let zero = Tableau::zero_state(self.core.num_qubits);
+        Some(PrefixCache::new(Arc::clone(&self.core), self.engine.clone(), base, zero))
     }
 
     /// The shared evaluation core (for in-crate engine call sites).
@@ -504,11 +473,9 @@ impl<'a> CliffordObjective<'a> {
     /// tableau. Non-compiled ansätze (no template to ship to the pool)
     /// evaluate serially with identical results.
     pub fn evaluate_batch(&self, configs: &[Vec<usize>]) -> Vec<ObjectiveValue> {
-        // Rough per-candidate cost in row-update units; engine dispatch
-        // costs a few µs per shard, so tiny workloads stay serial (and
-        // never force the global pool into existence).
-        let per_eval = self.core.terms.len().max(1) * self.core.num_qubits.max(1);
-        if configs.len() * per_eval < BATCH_DISPATCH_THRESHOLD {
+        // Tiny workloads stay serial (and never force the global pool
+        // into existence).
+        if !self.core.dispatches(configs.len()) {
             let mut scratch = self.scratch();
             return configs.iter().map(|c| self.evaluate_with(c, &mut scratch)).collect();
         }
@@ -597,303 +564,6 @@ impl<'a> CliffordObjective<'a> {
         }
         let tableau = &scratch.tableau;
         self.core.terms.iter().map(|(p, c)| (*p, *c, tableau.expectation_pauli(p))).collect()
-    }
-}
-
-/// One polish move: the `(slot, new angle index)` patches applied to the
-/// session base to form a neighbor configuration — one entry for a
-/// coordinate move, two for a pair move.
-pub type PolishMove = Vec<(usize, usize)>;
-
-/// An incremental polish session (see
-/// [`CliffordObjective::polish_session`]).
-///
-/// The session owns the current *base* configuration and a prefix
-/// checkpoint: a tableau holding the state after template ops
-/// `0..prefix_end` of the base. Evaluating a batch of moves seeks the
-/// checkpoint to the earliest op any move affects
-/// (`CompiledAnsatz::first_op_of`), then each neighbor restores the
-/// checkpoint and replays only the suffix — turning the
-/// full-re-preparation cost of a polish evaluation into work
-/// proportional to the suffix length. Forward sweeps (slots in
-/// increasing op order, the shape of both polish phases) *advance* the
-/// checkpoint incrementally; a *backward* seek restores the deepest
-/// still-valid entry of a per-layer checkpoint stack (one snapshot per
-/// `CompiledAnsatz::layer_starts` boundary, taken as forward advances
-/// cross it) and replays only from that boundary — falling back to a
-/// rebuild from `|0…0⟩` when no dominating snapshot survives, which is
-/// always correct, merely slower. Accepted moves invalidate exactly the
-/// snapshots past the earliest changed op, so every surviving entry is
-/// a true prefix state of the current base.
-///
-/// # Determinism
-///
-/// Prefix + suffix is the same integer gate sequence as a full
-/// `run_compiled`, so the prepared tableau — and every energy, through
-/// the same fixed-association term sum — is bit-identical to
-/// [`CliffordObjective::evaluate`] of the patched configuration, at any
-/// engine width, including the term-sharded (≥ 4096 terms) path.
-/// Asserted by `crates/clifford/tests/incremental_equivalence.rs`,
-/// `crates/core/tests/polish_equivalence.rs` and the neighbor boundary
-/// cases in `crates/core/tests/term_sharding.rs`.
-pub struct PolishSession {
-    core: Arc<EvalCore>,
-    /// The objective's attached engine (`None` resolves to the global
-    /// pool lazily, and only for batches big enough to dispatch —
-    /// mirroring [`CliffordObjective::evaluate_batch`]).
-    engine: Option<ExecEngine>,
-    base: Vec<usize>,
-    /// State after template ops `0..prefix_end` of `base`.
-    prefix: Arc<Tableau>,
-    prefix_end: usize,
-    scratch: EvalScratch,
-    config_buf: Vec<usize>,
-    /// The template's layer boundaries (`CompiledAnsatz::layer_starts`),
-    /// strictly increasing, each in `1..ops.len()`.
-    layers: Vec<usize>,
-    /// Per-boundary snapshots: `stack[i]` (when `Some`) holds the state
-    /// after ops `0..layers[i]` of a configuration agreeing with `base`
-    /// on every parameter whose first op is `< layers[i]` — i.e. a valid
-    /// restore point for any seek target `>= layers[i]`.
-    stack: Vec<Option<Arc<Tableau>>>,
-    /// The A/B seam: `false` freezes the pre-stack behavior (backward
-    /// seeks always rebuild from `|0…0⟩`) for the frozen-reference bench.
-    use_stack: bool,
-    backward_seeks: u64,
-    stack_restores: u64,
-}
-
-impl PolishSession {
-    /// The current base configuration.
-    pub fn base(&self) -> &[usize] {
-        &self.base
-    }
-
-    fn template(&self) -> &CompiledAnsatz {
-        self.core.template.as_ref().expect("polish sessions require a compiled template")
-    }
-
-    /// Disables (or re-enables) the layered checkpoint stack — the A/B
-    /// seam for the backward-seek bench. With the stack off, backward
-    /// seeks always rebuild the prefix from `|0…0⟩` (the pre-stack
-    /// behavior); results are bit-identical either way, only the seek
-    /// cost differs. Disabling drops any snapshots already taken.
-    pub fn with_checkpoint_stack(mut self, enabled: bool) -> Self {
-        self.use_stack = enabled;
-        if !enabled {
-            for slot in &mut self.stack {
-                *slot = None;
-            }
-        }
-        self
-    }
-
-    /// `(backward_seeks, stack_restores)`: how many seeks moved the
-    /// checkpoint backwards this session, and how many of those restored
-    /// a layer snapshot instead of rebuilding the prefix from `|0…0⟩`.
-    pub fn seek_stats(&self) -> (u64, u64) {
-        (self.backward_seeks, self.stack_restores)
-    }
-
-    /// Moves the prefix checkpoint to exactly `start` ops: advancing
-    /// applies the missing base ops on top of the current checkpoint
-    /// (snapshotting each layer boundary it crosses); moving backwards
-    /// restores the deepest valid snapshot at or below `start` and
-    /// advances from there, rebuilding from `|0…0⟩` only when no
-    /// snapshot dominates the target.
-    fn seek(&mut self, start: usize) {
-        if start == self.prefix_end {
-            return;
-        }
-        if start < self.prefix_end {
-            self.backward_seeks += 1;
-            let mut restored = false;
-            if self.use_stack {
-                // Deepest Some entry whose boundary is ≤ the target.
-                for i in (0..self.layers.len()).rev() {
-                    if self.layers[i] > start {
-                        continue;
-                    }
-                    if let Some(ckpt) = &self.stack[i] {
-                        let ckpt = Arc::clone(ckpt);
-                        // The Arc is uniquely owned between batches
-                        // (engine shards drop their clones before `map`
-                        // returns), so make_mut stays in place.
-                        Arc::make_mut(&mut self.prefix).copy_from(&ckpt);
-                        self.prefix_end = self.layers[i];
-                        self.stack_restores += 1;
-                        restored = true;
-                        break;
-                    }
-                }
-            }
-            if !restored {
-                let core = Arc::clone(&self.core);
-                let template = core.template.as_ref().expect("checked at session creation");
-                // ops 0..0 of anything is |0…0⟩: a pure reset.
-                Arc::make_mut(&mut self.prefix).run_compiled_prefix(template, &self.base, 0);
-                self.prefix_end = 0;
-            }
-        }
-        self.advance_to(start);
-    }
-
-    /// Forward half of [`Self::seek`]: applies base ops
-    /// `prefix_end..start` on top of the checkpoint, segment by segment,
-    /// snapshotting the state into the stack at every layer boundary
-    /// crossed (so later backward seeks have restore points).
-    fn advance_to(&mut self, start: usize) {
-        debug_assert!(start >= self.prefix_end);
-        let core = Arc::clone(&self.core);
-        let template = core.template.as_ref().expect("checked at session creation");
-        while self.prefix_end < start {
-            let next = if self.use_stack {
-                self.layers.iter().position(|&b| b > self.prefix_end && b <= start)
-            } else {
-                None
-            };
-            let prefix = Arc::make_mut(&mut self.prefix);
-            match next {
-                Some(i) => {
-                    let boundary = self.layers[i];
-                    prefix.apply_range(template, &self.base, self.prefix_end, boundary);
-                    self.prefix_end = boundary;
-                    match &mut self.stack[i] {
-                        Some(ckpt) => Arc::make_mut(ckpt).copy_from(prefix),
-                        slot => *slot = Some(Arc::new(prefix.clone())),
-                    }
-                }
-                None => {
-                    prefix.apply_range(template, &self.base, self.prefix_end, start);
-                    self.prefix_end = start;
-                }
-            }
-        }
-    }
-
-    /// Applies an accepted move to the session base. Checkpoints at or
-    /// before the move's earliest affected op stay valid (the forward
-    /// sweep case); a checkpoint past it is rewound — and every stack
-    /// snapshot past it is dropped — so acceptance is always safe, in
-    /// any order.
-    pub fn accept(&mut self, mv: &[(usize, usize)]) {
-        let mut first = usize::MAX;
-        for &(slot, value) in mv {
-            self.base[slot] = value;
-            self.config_buf[slot] = value;
-            first = first.min(self.template().first_op_of(slot));
-        }
-        // A snapshot at boundary b is a prefix state of the *new* base
-        // iff no changed parameter is read before b.
-        for (i, slot) in self.stack.iter_mut().enumerate() {
-            if self.layers[i] > first {
-                *slot = None;
-            }
-        }
-        if first < self.prefix_end {
-            self.seek(first);
-        }
-    }
-
-    /// Evaluates a batch of neighbor moves against the session base, in
-    /// input order — the polish counterpart of
-    /// [`CliffordObjective::evaluate_batch`], and bit-identical to
-    /// evaluating each patched configuration through it. Small workloads
-    /// stay on the calling thread; large ones shard moves across the
-    /// engine, and big-Hamiltonian neighbors (≥ 4096 terms) term-shard
-    /// from inside the pool exactly like full evaluations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a move names a slot out of range or an angle index
-    /// outside `0..4`.
-    pub fn evaluate_moves(&mut self, moves: &[PolishMove]) -> Vec<ObjectiveValue> {
-        if moves.is_empty() {
-            return Vec::new();
-        }
-        let ops_len = self.template().ops().len();
-        let start = moves
-            .iter()
-            .flat_map(|mv| mv.iter())
-            .map(|&(slot, _)| self.template().first_op_of(slot))
-            .min()
-            .unwrap_or(ops_len);
-        self.seek(start);
-        // The same dispatch heuristic as `evaluate_batch`: tiny workloads
-        // never pay engine dispatch (nor force the global pool into
-        // existence).
-        let per_eval = self.core.terms.len().max(1) * self.core.num_qubits.max(1);
-        let big = moves.len() * per_eval >= BATCH_DISPATCH_THRESHOLD;
-        let pooled =
-            big && self.engine.clone().unwrap_or_else(|| ExecEngine::global().clone()).is_pooled();
-        if !pooled {
-            let attached = self.engine.clone();
-            let mut out = Vec::with_capacity(moves.len());
-            for mv in moves {
-                for &(slot, value) in mv {
-                    self.config_buf[slot] = value;
-                }
-                let value = match &attached {
-                    Some(engine) if self.core.terms.len() >= CHUNKED_TERM_THRESHOLD => {
-                        self.core.evaluate_neighbor_on(
-                            &mut self.scratch,
-                            &self.prefix,
-                            start,
-                            &self.config_buf,
-                            engine,
-                        )
-                    }
-                    _ => self.core.evaluate_neighbor(
-                        &mut self.scratch,
-                        &self.prefix,
-                        start,
-                        &self.config_buf,
-                    ),
-                };
-                for &(slot, _) in mv {
-                    self.config_buf[slot] = self.base[slot];
-                }
-                out.push(value);
-            }
-            return out;
-        }
-        let engine = self.engine.clone().unwrap_or_else(|| ExecEngine::global().clone());
-        let shards = engine.workers().min(moves.len());
-        let chunk = moves.len().div_ceil(shards);
-        let tasks: Vec<_> = moves
-            .chunks(chunk)
-            .map(|chunk_moves| {
-                let core = Arc::clone(&self.core);
-                let prefix = Arc::clone(&self.prefix);
-                let base = self.base.clone();
-                let chunk_moves: Vec<PolishMove> = chunk_moves.to_vec();
-                let engine = engine.clone();
-                move || {
-                    let mut scratch = core.scratch();
-                    let mut config = base.clone();
-                    chunk_moves
-                        .iter()
-                        .map(|mv| {
-                            for &(slot, value) in mv {
-                                config[slot] = value;
-                            }
-                            let value = core.evaluate_neighbor_on(
-                                &mut scratch,
-                                &prefix,
-                                start,
-                                &config,
-                                &engine,
-                            );
-                            for &(slot, _) in mv {
-                                config[slot] = base[slot];
-                            }
-                            value
-                        })
-                        .collect::<Vec<ObjectiveValue>>()
-                }
-            })
-            .collect();
-        engine.map(tasks).into_iter().flatten().collect()
     }
 }
 

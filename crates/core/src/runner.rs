@@ -23,7 +23,8 @@ use rand::SeedableRng;
 
 use crate::engine::ExecEngine;
 use crate::ising::{try_ising_fast_path, IsingFastPath};
-use crate::objective::{CliffordObjective, ObjectiveValue, Penalty, PolishMove, PolishSession};
+use crate::objective::{CliffordObjective, ObjectiveValue, Penalty, PolishSession};
+use crate::polish::{incumbent_or_origin, search_trace, Greedy, Neighborhood, Phase, PolishMove};
 
 /// Configuration for a CAFQA run.
 ///
@@ -50,13 +51,18 @@ use crate::objective::{CliffordObjective, ObjectiveValue, Penalty, PolishMove, P
 /// The determinism contract, in decreasing strictness:
 ///
 /// 1. Polish evaluations replay template ops incrementally from the
-///    changed slot onward ([`PolishSession`]); the prepared state is the
+///    changed slot onward through the prefix-checkpoint cache shared
+///    with the kT tier ([`PolishSession`], a
+///    [`PrefixCache`](crate::PrefixCache)); the prepared state is the
 ///    same integer gate sequence as a full re-preparation, so every
 ///    energy — and therefore the whole trace — is **bit-identical to
 ///    the classic full-re-preparation polish, at any worker count**,
-///    including 1. Acceptance folds replay the serial greedy chain in
-///    candidate order, so tie-breaks keep the first minimiser exactly
-///    as a serial `min_by` sweep would.
+///    including 1. Every move phase (Clifford coordinate and pair, kT
+///    coordinate and migration) runs through one acceptance fold that
+///    replays the serial greedy chain in batch order — skipping moves
+///    onto the running incumbent, accepting improvements beyond
+///    `1e-12` — so tie-breaks keep the first minimiser exactly as a
+///    serial `min_by` sweep would.
 /// 2. `polish_screen_top = 0` therefore reproduces the frozen
 ///    pre-incremental polish trace bit for bit (asserted in
 ///    `crates/core/tests/polish_equivalence.rs` and in the
@@ -66,6 +72,9 @@ use crate::objective::{CliffordObjective, ObjectiveValue, Penalty, PolishMove, P
 ///    given [`seed`](Self::seed); the greedy fold only ever accepts
 ///    improvements, so the final energy can never exceed the BO
 ///    incumbent's.
+///
+/// An empty BO incumbent (every value NaN, or an empty budget) polishes
+/// from the all-zero configuration, in both tiers.
 ///
 /// # Chunking and worker tiers
 ///
@@ -259,6 +268,19 @@ impl CafqaOptions {
     /// A small-budget preset for quick runs and tests.
     pub fn quick() -> Self {
         CafqaOptions { warmup: 60, iterations: 120, ..Default::default() }
+    }
+
+    /// The BO-phase options both search tiers run with.
+    pub(crate) fn bo_options(&self) -> BoOptions {
+        BoOptions {
+            warmup: self.warmup,
+            iterations: self.iterations,
+            seed: self.seed,
+            patience: self.patience,
+            proposals_per_refit: self.proposals_per_refit,
+            forest: ForestOptions { window: self.forest_window, ..Default::default() },
+            ..Default::default()
+        }
     }
 }
 
@@ -548,15 +570,6 @@ pub fn run_cafqa_resumable_on(
     // recovered per configuration afterwards from the recorded configs.
     let mut raw_trace: Vec<(f64, f64)> = Vec::new();
     let bo_clock = Instant::now();
-    let bo_opts = BoOptions {
-        warmup: opts.warmup,
-        iterations: opts.iterations,
-        seed: opts.seed,
-        patience: opts.patience,
-        proposals_per_refit: opts.proposals_per_refit,
-        forest: cafqa_bayesopt::ForestOptions { window: opts.forest_window, ..Default::default() },
-        ..Default::default()
-    };
     let replay: &[(Vec<usize>, f64, f64)] = resume.map_or(&[], |c| &c.history);
     // Shared closure state: the replay cursor, the completed-evaluation
     // log (the next checkpoint), live-batch count, and the first replay
@@ -611,7 +624,7 @@ pub fn run_cafqa_resumable_on(
             BatchStatus::Values(values)
         },
         seeds,
-        &bo_opts,
+        &opts.bo_options(),
         engine,
     );
     if let Some(index) = diverged {
@@ -628,24 +641,13 @@ pub fn run_cafqa_resumable_on(
     } else {
         Vec::new()
     };
-    let bo_evaluations = raw_trace.len();
     let bo_seconds = bo_clock.elapsed().as_secs_f64();
     let polish_clock = Instant::now();
-    let outcome = polish_on(engine, &objective, &result.best_config, opts, &history);
+    let start = incumbent_or_origin(result.best_config, objective.num_parameters());
+    let outcome = polish_on(engine, &objective, &start, opts, &history);
     let polish_seconds = polish_clock.elapsed().as_secs_f64();
-    let mut iterations_to_best = result.iterations_to_best;
-    if let Some(accept) = outcome.last_accept {
-        iterations_to_best = bo_evaluations + accept;
-    }
-    raw_trace.extend(outcome.trace.iter().copied());
-    let mut best = f64::INFINITY;
-    let trace: Vec<SearchPoint> = raw_trace
-        .iter()
-        .map(|&(energy, penalized)| {
-            best = best.min(penalized);
-            SearchPoint { energy, penalized, best_so_far: best }
-        })
-        .collect();
+    let (trace, iterations_to_best) =
+        search_trace(raw_trace, &outcome.trace, outcome.last_accept, result.iterations_to_best);
     Ok(RunStatus::Complete(CafqaResult {
         best_config: outcome.best_config,
         energy: outcome.best_value.energy,
@@ -685,27 +687,6 @@ pub fn polish_pair_list(d: usize, nq: usize) -> Vec<(usize, usize)> {
     out
 }
 
-/// Replays the serial greedy acceptance chain over one batch of polish
-/// values: walk the batch in submission order, accept whenever the
-/// penalized value strictly beats the current best by more than `tol`,
-/// and return the index of the **last** acceptance (`None` if nothing
-/// improved). For exactly-tied minima this is the *first* minimiser —
-/// the same candidate a serial `min_by` sweep (which keeps the first of
-/// equal minima) would pick — regardless of which engine shard computed
-/// which value, because shard results are reassembled in submission
-/// order before the fold ever sees them.
-pub(crate) fn chain_accept(values: &[ObjectiveValue], best: f64, tol: f64) -> Option<usize> {
-    let mut best = best;
-    let mut accepted = None;
-    for (i, value) in values.iter().enumerate() {
-        if value.penalized < best - tol {
-            best = value.penalized;
-            accepted = Some(i);
-        }
-    }
-    accepted
-}
-
 /// The outcome of a standalone polish run ([`polish_on`]).
 #[derive(Debug, Clone)]
 pub struct PolishOutcome {
@@ -736,6 +717,7 @@ pub struct PolishOutcome {
 /// BO phase; it is public so benchmarks and experiment drivers can time
 /// and A/B the endgame in isolation.
 ///
+/// The sweeps run on the greedy polish shared with the kT tier.
 /// Compiled objectives evaluate every neighbor incrementally
 /// ([`PolishSession`]: prefix checkpoint + suffix replay from the
 /// changed slot); non-compiled ansätze fall back to full re-preparation
@@ -760,114 +742,46 @@ pub fn polish_on(
     opts: &CafqaOptions,
     history: &[(Vec<usize>, f64)],
 ) -> PolishOutcome {
-    let mut best_config = start.to_vec();
-    let mut best_value = objective.evaluate(&best_config);
-    let mut trace: Vec<(f64, f64)> = Vec::new();
-    let mut last_accept: Option<usize> = None;
-    let d = best_config.len();
+    let mut greedy = Greedy::new(start.to_vec(), objective.evaluate(start));
     // The incremental session (compiled ansätze) or the full
     // re-preparation fallback — semantically identical either way.
-    let mut session = objective.polish_session(best_config.clone());
-    let eval_moves = |session: &mut Option<PolishSession>,
-                      base: &[usize],
-                      moves: &[PolishMove]|
-     -> Vec<ObjectiveValue> {
-        match session {
-            Some(session) => session.evaluate_moves(moves),
-            None => {
-                let candidates: Vec<Vec<usize>> = moves
-                    .iter()
-                    .map(|mv| {
-                        let mut candidate = base.to_vec();
-                        for &(slot, value) in mv {
-                            candidate[slot] = value;
-                        }
-                        candidate
-                    })
-                    .collect();
-                objective.evaluate_batch(&candidates)
-            }
-        }
+    let mut session = objective.polish_session(start.to_vec());
+    let mut full = objective;
+    let nb: &mut dyn Neighborhood = match &mut session {
+        Some(session) => session,
+        None => &mut full,
     };
-    // Coordinate-descent sweeps: greedily walk each parameter through its
-    // alternative angles until a full sweep yields no improvement. The
-    // three alternatives per coordinate are independent, so they evaluate
-    // as one batch; `chain_accept` then replays the greedy chain in
-    // candidate order, which keeps the trace and the chosen optimum
-    // identical to a one-at-a-time sweep.
-    for _sweep in 0..opts.polish_sweeps {
-        let mut improved = false;
-        for i in 0..d {
-            let current = best_config[i];
-            let moves: Vec<PolishMove> =
-                (0..4).filter(|&v| v != current).map(|v| vec![(i, v)]).collect();
-            let values = eval_moves(&mut session, &best_config, &moves);
-            let base_len = trace.len();
-            for value in &values {
-                trace.push((value.energy, value.penalized));
-            }
-            if let Some(idx) = chain_accept(&values, best_value.penalized, 1e-12) {
-                for &(slot, value) in &moves[idx] {
-                    best_config[slot] = value;
-                }
-                if let Some(session) = &mut session {
-                    session.accept(&moves[idx]);
-                }
-                best_value = values[idx];
-                last_accept = Some(base_len + idx + 1);
-                improved = true;
-            }
-        }
-        if !improved {
-            break;
-        }
-    }
+    greedy.sweep(nb, opts.polish_sweeps, &[Phase::CliffordCoordinate], 0);
     // Pair polish: correlated two-angle moves escape the
     // single-coordinate local minima that trap e.g. LiH at stretched
     // geometries (and the HF seed on wide registers).
-    let mut swept_pairs: Vec<(usize, usize)> = Vec::new();
+    let mut pairs = Vec::new();
     if opts.polish_sweeps > 0 {
-        let nq = objective.num_qubits();
-        let full_pairs = polish_pair_list(d, nq);
-        let pairs = screened_pairs(engine, full_pairs, &best_config, opts, history);
+        let d = start.len();
+        let full_pairs = polish_pair_list(d, objective.num_qubits());
+        pairs = screened_pairs(engine, full_pairs, &greedy.best_config, opts, history);
         let sweeps = if d <= 24 { 3 } else { 2 };
-        for _sweep in 0..sweeps {
-            let mut improved = false;
-            for &(i, j) in &pairs {
-                // All 16 (vi, vj) joint moves are independent: evaluate as
-                // one batch, then replay the greedy acceptance chain in
-                // (vi, vj) order. The skip of the incumbent pair happens in
-                // the fold (it can shift mid-pair when a move is accepted),
-                // so trace and outcome match the serial sweep exactly.
-                let moves: Vec<PolishMove> =
-                    (0..16).map(|code| vec![(i, code / 4), (j, code % 4)]).collect();
-                let values = eval_moves(&mut session, &best_config, &moves);
-                for (mv, value) in moves.iter().zip(values) {
-                    let (vi, vj) = (mv[0].1, mv[1].1);
-                    if vi == best_config[i] && vj == best_config[j] {
-                        continue;
-                    }
-                    trace.push((value.energy, value.penalized));
-                    if value.penalized < best_value.penalized - 1e-12 {
-                        best_config[i] = vi;
-                        best_config[j] = vj;
-                        if let Some(session) = &mut session {
-                            session.accept(mv);
-                        }
-                        best_value = value;
-                        last_accept = Some(trace.len());
-                        improved = true;
-                    }
-                }
-            }
-            if !improved {
-                break;
-            }
-        }
-        swept_pairs = pairs;
+        greedy.sweep(nb, sweeps, &[Phase::CliffordPair(&pairs)], 0);
     }
     let seek_stats = session.as_ref().map_or((0, 0), PolishSession::seek_stats);
-    PolishOutcome { best_config, best_value, trace, last_accept, pairs: swept_pairs, seek_stats }
+    let Greedy { best_config, best_value, trace, last_accept, .. } = greedy;
+    PolishOutcome { best_config, best_value, trace, last_accept, pairs, seek_stats }
+}
+
+/// Full re-preparation through [`CliffordObjective::evaluate_batch`]: the
+/// polish evaluator of ansätze that did not compile.
+impl Neighborhood for &CliffordObjective<'_> {
+    fn evaluate(&mut self, base: &[usize], moves: &[PolishMove]) -> Vec<ObjectiveValue> {
+        let mut candidates = vec![base.to_vec(); moves.len()];
+        for (candidate, mv) in candidates.iter_mut().zip(moves) {
+            mv.iter().for_each(|&(slot, value)| candidate[slot] = value);
+        }
+        self.evaluate_batch(&candidates)
+    }
+
+    fn rank(&mut self, base: &[usize], moves: &[PolishMove]) -> Vec<f64> {
+        self.evaluate(base, moves).iter().map(|v| v.penalized).collect()
+    }
 }
 
 /// Applies [`CafqaOptions::polish_screen_top`] to the full pair list:
@@ -994,53 +908,6 @@ impl MolecularCafqa {
 mod tests {
     use super::*;
     use cafqa_chem::{ChemPipeline, MoleculeKind, ScfKind};
-
-    fn value(penalized: f64) -> ObjectiveValue {
-        ObjectiveValue { energy: penalized, penalized }
-    }
-
-    /// The satellite tie-break contract, asserted *before* the engine
-    /// path was wired: the acceptance fold must keep the **first**
-    /// minimiser under serial-fold order. Engine shards may compute the
-    /// values in any order, but they are reassembled by submission index
-    /// before the fold, so `chain_accept` sees exactly the serial
-    /// candidate order — and for exactly-tied minima it lands on the
-    /// same index as `min_by` (which keeps the first of equal minima).
-    #[test]
-    fn chain_accept_keeps_first_minimiser_like_min_by() {
-        let cases: Vec<Vec<f64>> = vec![
-            vec![2.0, 1.0, 1.0],           // exact tie: first wins
-            vec![1.0, 1.0, 1.0],           // all tied
-            vec![3.0, 2.0, 1.0],           // strictly improving chain
-            vec![1.0, 2.0, 3.0],           // first is best
-            vec![5.0, -1.0, 4.0, -1.0],    // tie across a worse gap
-            vec![f64::INFINITY, 0.5, 0.5], // non-finite head
-        ];
-        for values in cases {
-            let batch: Vec<ObjectiveValue> = values.iter().map(|&v| value(v)).collect();
-            let chained = chain_accept(&batch, f64::INFINITY, 0.0);
-            let min_by =
-                values.iter().enumerate().min_by(|a, b| a.1.total_cmp(b.1)).map(|(i, _)| i);
-            assert_eq!(chained, min_by, "{values:?}");
-        }
-    }
-
-    #[test]
-    fn chain_accept_respects_incumbent_and_tolerance() {
-        // Nothing strictly below the incumbent: no acceptance.
-        let batch = vec![value(1.0), value(0.9999999)];
-        assert_eq!(chain_accept(&batch, 1.0, 1e-3), None);
-        // Within tolerance of the *running* best is not accepted: 3−ε
-        // loses to the already-accepted 3.0 even though it is the
-        // batch minimum — the chain semantics, not a global argmin.
-        let batch = vec![value(5.0), value(3.0), value(3.0 - 1e-13)];
-        assert_eq!(chain_accept(&batch, 10.0, 1e-12), Some(1));
-        // Strictly past the tolerance is accepted.
-        let batch = vec![value(5.0), value(3.0), value(3.0 - 1e-9)];
-        assert_eq!(chain_accept(&batch, 10.0, 1e-12), Some(2));
-        // Empty batch.
-        assert_eq!(chain_accept(&[], 0.0, 1e-12), None);
-    }
 
     #[test]
     fn pair_list_is_exhaustive_small_and_local_wide() {

@@ -88,7 +88,19 @@ impl JobSpec {
                 found: self.hamiltonian.num_qubits(),
             });
         }
+        // A non-finite coefficient, target or weight can only yield a NaN
+        // or infinite energy.
+        let finite = |op: &PauliOp| op.iter().all(|(_, c)| c.re.is_finite() && c.im.is_finite());
+        if !finite(&self.hamiltonian) {
+            return Err(ServeError::NonFinite { what: "hamiltonian coefficient" });
+        }
         for p in &self.penalties {
+            if !finite(&p.op) {
+                return Err(ServeError::NonFinite { what: "penalty operator coefficient" });
+            }
+            if !(p.target.is_finite() && p.weight.is_finite()) {
+                return Err(ServeError::NonFinite { what: "penalty target or weight" });
+            }
             if p.op.num_qubits() != nq {
                 return Err(ServeError::QubitMismatch {
                     what: "penalty operator",
@@ -229,6 +241,12 @@ pub enum ServeError {
         /// Why the instance cannot take the fast path.
         reason: String,
     },
+    /// A coefficient, penalty target or penalty weight is NaN or
+    /// infinite (the search could only report a non-finite energy).
+    NonFinite {
+        /// Which input is not finite.
+        what: &'static str,
+    },
     /// The server is shutting down and accepts no new work.
     ShuttingDown,
     /// No job with this id was ever submitted.
@@ -257,6 +275,7 @@ impl std::fmt::Display for ServeError {
             ServeError::NotIsingClass { reason } => {
                 write!(f, "ising_fast_path = Force rejected: {reason}")
             }
+            ServeError::NonFinite { what } => write!(f, "{what} is not finite"),
             ServeError::ShuttingDown => write!(f, "server is shutting down"),
             ServeError::UnknownJob(id) => write!(f, "unknown {id}"),
             ServeError::Cancelled(id) => write!(f, "{id} was cancelled"),
