@@ -110,19 +110,40 @@ fn write_op(hash: &mut Fnv1a, op: &PauliOp, with_coefficients: bool) {
 }
 
 /// Folds the search-relevant [`CafqaOptions`] fields (see the module
-/// notes for which fields are deliberately excluded).
+/// notes for which fields are deliberately excluded). The destructuring
+/// is exhaustive, so a new option does not compile until it is either
+/// hashed here or bound to `_` with a reason.
 fn write_opts(hash: &mut Fnv1a, opts: &CafqaOptions) {
-    hash.write_usize(opts.warmup);
-    hash.write_usize(opts.iterations);
-    hash.write_u64(opts.seed);
-    hash.write_usize(opts.patience);
-    hash.write_usize(opts.polish_sweeps);
-    hash.write_usize(opts.proposals_per_refit);
-    hash.write_usize(opts.forest_window);
-    hash.write_usize(opts.polish_screen_top);
-    hash.write_f64(opts.screen_tolerance);
-    hash.write_usize(opts.kt_rank_top);
-    hash.write_u64(match opts.ising_fast_path {
+    let CafqaOptions {
+        warmup,
+        iterations,
+        seed,
+        patience,
+        polish_sweeps,
+        proposals_per_refit,
+        forest_window,
+        polish_screen_top,
+        screen_tolerance,
+        kt_rank_top,
+        ising_fast_path,
+        // Read only by `MolecularCafqa` to build the penalty and seed
+        // lists, which are hashed themselves.
+        number_penalty: _,
+        sz_penalty: _,
+        s2_penalty: _,
+        seed_hf: _,
+    } = opts;
+    hash.write_usize(*warmup);
+    hash.write_usize(*iterations);
+    hash.write_u64(*seed);
+    hash.write_usize(*patience);
+    hash.write_usize(*polish_sweeps);
+    hash.write_usize(*proposals_per_refit);
+    hash.write_usize(*forest_window);
+    hash.write_usize(*polish_screen_top);
+    hash.write_f64(*screen_tolerance);
+    hash.write_usize(*kt_rank_top);
+    hash.write_u64(match ising_fast_path {
         IsingFastPath::Auto => 0,
         IsingFastPath::Off => 1,
         IsingFastPath::Force => 2,

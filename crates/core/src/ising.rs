@@ -44,6 +44,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::engine::ExecEngine;
 use crate::objective::{CliffordObjective, Penalty};
+use crate::problem::{CafqaError, CafqaProblem};
 use crate::runner::{run_cafqa_on, CafqaOptions, CafqaResult, SearchPoint};
 
 /// Routing policy for the Ising fast path
@@ -60,9 +61,10 @@ pub enum IsingFastPath {
     /// knob for measuring the unrouted baseline (the BO arm of the
     /// `ising_fast_path_vs_bo` bench) and for pinning legacy traces.
     Off,
-    /// Require routing: panic if the instance cannot take the fast path.
-    /// For callers that *know* their workload is Ising-class and want
-    /// misclassification to be loud.
+    /// Require routing: an instance that cannot take the fast path is a
+    /// [`CafqaError::NotIsingClass`] (and a panic from the entry points
+    /// without an error channel). For callers that *know* their workload
+    /// is Ising-class and want misclassification to be loud.
     Force,
 }
 
@@ -78,35 +80,6 @@ pub const EXACT_SOLVE_CAP: usize = 16;
 /// `u64`, so the local search caps at 64 (and [`classify_ising`] never
 /// emits a wider form).
 pub const SOLVE_CAP: usize = 64;
-
-/// A structured rejection from [`IsingForm::solve`] — what a serving
-/// layer reports to the submitter instead of dying on an `assert!`. The
-/// internal exact walkers ([`IsingForm::solve_exact`],
-/// [`IsingForm::local_search`]) keep their hard asserts: they are only
-/// reachable through [`IsingForm::solve`]'s routing (which has already
-/// checked the caps) or direct calls by code that owns its own bounds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IsingError {
-    /// The instance has more spins than the solver can represent.
-    TooLarge {
-        /// The instance's spin count.
-        n: usize,
-        /// The hard cap ([`SOLVE_CAP`]).
-        cap: usize,
-    },
-}
-
-impl std::fmt::Display for IsingError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            IsingError::TooLarge { n, cap } => {
-                write!(f, "Ising instance has {n} spins; the solver caps at {cap}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for IsingError {}
 
 /// A classified diagonal Hamiltonian in spin form:
 ///
@@ -172,11 +145,13 @@ impl IsingForm {
     /// This is the service-reachable entry point, so an oversized form
     /// (`n >` [`SOLVE_CAP`] — impossible via [`classify_ising`], easy
     /// via a hand-built [`IsingForm`]) returns a structured
-    /// [`IsingError::TooLarge`] instead of tripping the internal
-    /// walkers' asserts.
-    pub fn solve(&self, seed: u64) -> Result<(u64, f64), IsingError> {
+    /// [`CafqaError::TooLarge`] instead of tripping the internal
+    /// walkers' asserts ([`IsingForm::solve_exact`] and
+    /// [`IsingForm::local_search`] keep theirs: they are only reached
+    /// through this routing or by callers that own their bounds).
+    pub fn solve(&self, seed: u64) -> Result<(u64, f64), CafqaError> {
         if self.n > SOLVE_CAP {
-            return Err(IsingError::TooLarge { n: self.n, cap: SOLVE_CAP });
+            return Err(CafqaError::TooLarge { n: self.n, cap: SOLVE_CAP });
         }
         Ok(if self.n <= EXACT_SOLVE_CAP {
             self.solve_exact()
@@ -346,55 +321,49 @@ pub fn classify_ising(hamiltonian: &PauliOp) -> Option<IsingForm> {
     })
 }
 
-/// The routing hook [`run_cafqa_on`] calls before starting the full
-/// search. Returns `Some` with an ordinary [`CafqaResult`] when the
-/// instance takes the fast path, `None` when it must run the full
-/// pipeline (non-Ising structure, penalties attached, or no eigenstate
-/// lift for this ansatz).
-///
-/// The reduced-space winner is lifted through
-/// [`Ansatz::eigenstate_config`] and evaluated — together with every
-/// caller-provided seed configuration — through the ordinary
-/// [`CliffordObjective`] as one engine batch, and the first minimiser
-/// wins; the reported energy is therefore always the tableau
-/// simulator's, and seeding keeps the "never worse than the seed"
-/// guarantee intact.
-///
-/// # Panics
-///
-/// Panics when [`CafqaOptions::ising_fast_path`] is
-/// [`IsingFastPath::Force`] and the instance cannot route.
-pub(crate) fn try_ising_fast_path(
-    engine: &ExecEngine,
+/// The fast-path route of a Clifford-grid problem: the reduced-space
+/// winner lifted to an ansatz configuration, or why the instance cannot
+/// route (penalties attached, non-Ising structure, or no eigenstate lift
+/// for this ansatz). [`CafqaProblem::new`] computes it once, and turns
+/// the reason into [`CafqaError::NotIsingClass`] under
+/// [`IsingFastPath::Force`].
+pub(crate) fn ising_route(
     ansatz: &dyn Ansatz,
     hamiltonian: &PauliOp,
     penalties: &[Penalty],
-    seeds: &[Vec<usize>],
     opts: &CafqaOptions,
-) -> Option<CafqaResult> {
-    let force = opts.ising_fast_path == IsingFastPath::Force;
+) -> Result<Vec<usize>, String> {
     if !penalties.is_empty() {
-        assert!(!force, "ising_fast_path: Force, but penalties require the full objective");
-        return None;
+        return Err("penalties require the full objective".into());
     }
-    let Some(form) = classify_ising(hamiltonian) else {
-        assert!(!force, "ising_fast_path: Force, but the Hamiltonian is not Ising-class");
-        return None;
-    };
-    // `classify_ising` never emits a form above the solve cap, so an
-    // error here is unreachable; treat it as "cannot route" for safety.
-    let Ok((bits, _reduced)) = form.solve(opts.seed) else {
-        assert!(!force, "ising_fast_path: Force, but the instance exceeds the solve cap");
-        return None;
-    };
-    let Some(lifted) = ansatz.eigenstate_config(bits, &form.bases) else {
-        assert!(!force, "ising_fast_path: Force, but the ansatz has no eigenstate lift");
-        return None;
-    };
+    let form = classify_ising(hamiltonian).ok_or("the Hamiltonian is not Ising-class")?;
+    // `classify_ising` never emits a form above the solve cap.
+    let (bits, _reduced) = form.solve(opts.seed).map_err(|err| err.to_string())?;
+    ansatz
+        .eigenstate_config(bits, &form.bases)
+        .ok_or_else(|| "the ansatz has no eigenstate lift".into())
+}
+
+/// The routing hook the Clifford search runs before starting the full
+/// search. Returns `Some` with an ordinary [`CafqaResult`] when the
+/// problem carries a fast-path route, `None` when it must run the full
+/// pipeline.
+///
+/// The lifted winner is evaluated — together with every seed
+/// configuration — through the ordinary [`CliffordObjective`] as one
+/// engine batch, and the first minimiser wins; the reported energy is
+/// therefore always the tableau simulator's, and seeding keeps the
+/// "never worse than the seed" guarantee intact.
+pub(crate) fn try_ising_fast_path(
+    engine: &ExecEngine,
+    problem: &CafqaProblem<'_>,
+) -> Option<CafqaResult> {
+    let lifted = problem.ising_lift.clone()?;
     let clock = Instant::now();
-    let objective = CliffordObjective::new(ansatz, hamiltonian).with_engine(engine.clone());
+    let objective =
+        CliffordObjective::new(problem.ansatz, problem.hamiltonian).with_engine(engine.clone());
     let mut candidates = vec![lifted];
-    candidates.extend(seeds.iter().cloned());
+    candidates.extend(problem.seeds.iter().cloned());
     let values = objective.evaluate_batch(&candidates);
     let mut best = 0;
     for (i, v) in values.iter().enumerate() {
@@ -552,8 +521,8 @@ mod tests {
             linear: vec![1.0; n],
             pairs: vec![],
         };
-        assert_eq!(form.solve(0xCAF9A), Err(IsingError::TooLarge { n, cap: SOLVE_CAP }));
-        let msg = IsingError::TooLarge { n, cap: SOLVE_CAP }.to_string();
+        assert_eq!(form.solve(0xCAF9A), Err(CafqaError::TooLarge { n, cap: SOLVE_CAP }));
+        let msg = CafqaError::TooLarge { n, cap: SOLVE_CAP }.to_string();
         assert!(msg.contains("65") && msg.contains("64"), "{msg}");
         // At the cap itself the solve still runs (local search tier).
         let form = IsingForm {

@@ -19,16 +19,22 @@
 //! candidates and polish moves evaluate through the prefix-checkpoint
 //! cache shared with the Clifford tier ([`KtPolishSession`] is a
 //! [`PrefixCache`] over branch ensembles), and the polish endgame runs the
-//! shared greedy polish's kT coordinate and T-migration phases. The
-//! search needs an ansatz that compiles to a Clifford+T template;
-//! anything else is a structured [`KtError::NotCompilable`].
+//! shared greedy polish's kT coordinate and T-migration phases.
+//!
+//! Inputs are validated once, up front, by [`CafqaProblem::new`] on the
+//! [`AngleGrid::CliffordT`] grid: register widths, the budget against
+//! [`MAX_BRANCH_GATES`](cafqa_clifford::MAX_BRANCH_GATES), and 8-ary seeds
+//! within the budget. The search itself then cannot fail on its inputs;
+//! the one remaining error is an ansatz that does not compile to a
+//! Clifford+T template ([`CafqaError::NotCompilable`]), found where the
+//! template is compiled.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cafqa_bayesopt::{minimize_with, SearchSpace};
 use cafqa_circuit::{Ansatz, CompiledAnsatz};
-use cafqa_clifford::{BranchEnsemble, MAX_BRANCH_GATES};
+use cafqa_clifford::BranchEnsemble;
 use cafqa_pauli::PauliOp;
 
 use crate::engine::ExecEngine;
@@ -37,62 +43,8 @@ use crate::polish::{
     incumbent_or_origin, search_trace, Greedy, Neighborhood, Phase, PolishMove, PrefixCache,
     TierKernel,
 };
-use crate::runner::{run_cafqa_on, CafqaOptions, SearchPoint};
-
-/// Why a CAFQA+kT search could not start.
-///
-/// These are *input* errors: once a search is running, every sampled
-/// configuration is feasible by construction and the search itself
-/// cannot fail (the old implementation instead panicked after the fact
-/// when the incumbent turned out to be over budget).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KtError {
-    /// `k_max` exceeds the stabilizer-rank engine's branch budget
-    /// ([`MAX_BRANCH_GATES`]); such a search could sample configurations
-    /// no backend can evaluate.
-    BudgetTooLarge {
-        /// The requested T budget.
-        k_max: usize,
-        /// The largest supported budget.
-        max: usize,
-    },
-    /// A seed configuration uses more non-Clifford rotations than
-    /// `k_max` allows. Widen the budget, or re-seed with
-    /// [`widen_clifford_config`] variants that respect it.
-    SeedInfeasible {
-        /// Index of the offending seed in the `seeds` slice.
-        seed: usize,
-        /// Its non-Clifford rotation count.
-        t_count: usize,
-        /// The budget it violates.
-        k_max: usize,
-    },
-    /// The ansatz does not compile to a Clifford+T template, so no
-    /// branch-ensemble evaluator exists for `k_max > 0` (a zero budget
-    /// still delegates to the Clifford search).
-    NotCompilable,
-}
-
-impl std::fmt::Display for KtError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match *self {
-            KtError::BudgetTooLarge { k_max, max } => {
-                write!(f, "T budget k_max = {k_max} exceeds the branch-engine limit of {max}")
-            }
-            KtError::SeedInfeasible { seed, t_count, k_max } => {
-                write!(
-                    f,
-                    "seed {seed} uses {t_count} non-Clifford rotations, over the budget k_max = {k_max}"
-                )
-            }
-            KtError::NotCompilable => {
-                write!(f, "the ansatz does not compile to a Clifford+T template")
-            }
-        }
-    }
-}
-
-impl std::error::Error for KtError {}
+use crate::problem::{AngleGrid, CafqaError, CafqaProblem};
+use crate::runner::{run_to_completion, CafqaOptions, SearchPoint};
 
 /// The outcome of a CAFQA+kT search.
 #[derive(Debug, Clone)]
@@ -171,26 +123,16 @@ fn decode_genome(genome: &[usize], d: usize) -> Vec<usize> {
     config
 }
 
-/// Encodes an 8-ary configuration as a genome (Clifford floor plus one
-/// `+π/4` insertion per odd index), or reports its T count when that
-/// count exceeds the budget.
-fn encode_seed(config: &[usize], d: usize, k_max: usize) -> Result<Vec<usize>, usize> {
-    assert_eq!(config.len(), d, "seed dimensionality mismatch");
-    let mut genome = Vec::with_capacity(d + k_max);
-    let mut insertions = Vec::new();
-    for (param, &k) in config.iter().enumerate() {
-        let k = k % 8;
-        genome.push(k / 2);
-        if k % 2 == 1 {
-            insertions.push(2 * param + 1);
-        }
-    }
-    if insertions.len() > k_max {
-        return Err(insertions.len());
-    }
+/// Encodes a validated 8-ary seed (entries `< 8`, at most `k_max` odd)
+/// as a genome: the Clifford floor plus one `+π/4` insertion per odd
+/// index. At `k_max = 0` the genome is the seed's 4-ary Clifford form.
+fn encode_seed(config: &[usize], k_max: usize) -> Vec<usize> {
+    let mut genome: Vec<usize> = config.iter().map(|&k| k / 2).collect();
+    let mut insertions: Vec<usize> =
+        config.iter().enumerate().filter(|&(_, &k)| k % 2 == 1).map(|(p, _)| 2 * p + 1).collect();
     insertions.resize(k_max, 0);
     genome.extend(insertions);
-    Ok(genome)
+    genome
 }
 
 /// `(x mask, z mask, real coefficient)` of one Pauli term — the flat
@@ -439,10 +381,17 @@ pub fn kt_session(
 ///
 /// # Errors
 ///
-/// [`KtError::BudgetTooLarge`] when `k_max` exceeds
-/// [`MAX_BRANCH_GATES`]; [`KtError::SeedInfeasible`] when a seed uses
-/// more than `k_max` non-Clifford rotations;
-/// [`KtError::NotCompilable`] when `k_max > 0` and the ansatz does not
+/// Any [`CafqaProblem::new`] failure on the
+/// [`AngleGrid::CliffordT`]` { k_max }` grid, before any search state
+/// exists: [`CafqaError::QubitMismatch`],
+/// [`CafqaError::BudgetTooLarge`] (`k_max` above
+/// [`MAX_BRANCH_GATES`](cafqa_clifford::MAX_BRANCH_GATES)),
+/// [`CafqaError::BadSeed`] (wrong length, or an entry outside `0..8`)
+/// and [`CafqaError::SeedInfeasible`] (more than `k_max` odd entries).
+/// At `k_max = 0` the Clifford search's own validation follows, so
+/// [`IsingFastPath::Force`](crate::IsingFastPath::Force) on an
+/// unroutable instance is a [`CafqaError::NotIsingClass`]. For
+/// `k_max > 0`, [`CafqaError::NotCompilable`] when the ansatz does not
 /// compile to a Clifford+T template.
 pub fn run_cafqa_kt(
     ansatz: &dyn Ansatz,
@@ -451,7 +400,7 @@ pub fn run_cafqa_kt(
     k_max: usize,
     seeds: &[Vec<usize>],
     opts: &CafqaOptions,
-) -> Result<CafqaKtResult, KtError> {
+) -> Result<CafqaKtResult, CafqaError> {
     run_cafqa_kt_on(ExecEngine::global(), ansatz, hamiltonian, penalties, k_max, seeds, opts)
 }
 
@@ -471,12 +420,13 @@ pub fn run_cafqa_kt(
 ///   evaluation runs a real branch simulation, and
 ///   [`CafqaKtResult::rejected_evaluations`] is always 0. The incumbent
 ///   is always simulable, so the search returns a structured
-///   [`KtError`] on bad *inputs* instead of panicking on its own
+///   [`CafqaError`] on bad *inputs* instead of panicking on its own
 ///   output.
 /// - **`k_max = 0` reproduces the Clifford search.** A zero budget
-///   delegates wholesale to [`run_cafqa_on`] (same engine, options and
-///   seeds, with seeds narrowed to the 4-ary grid) and widens the
-///   result; the trace is bit-identical to the classic run's.
+///   delegates wholesale to [`run_cafqa_on`](crate::run_cafqa_on) (same
+///   engine, options and seeds, with seeds narrowed to the 4-ary grid)
+///   and widens the result; the trace is bit-identical to the classic
+///   run's.
 /// - **Worker-count bit-identity.** Candidate values are pure functions
 ///   of the candidate: terms sum in storage order, branch-pair classes
 ///   in one fixed full-range fold ([`value_of`]'s contract), and the
@@ -510,27 +460,17 @@ pub fn run_cafqa_kt_on(
     k_max: usize,
     seeds: &[Vec<usize>],
     opts: &CafqaOptions,
-) -> Result<CafqaKtResult, KtError> {
+) -> Result<CafqaKtResult, CafqaError> {
+    let grid = AngleGrid::CliffordT { k_max };
+    let problem = CafqaProblem::new(ansatz, hamiltonian, penalties, seeds, grid, opts)?;
     let d = ansatz.num_parameters();
-    if k_max > MAX_BRANCH_GATES {
-        return Err(KtError::BudgetTooLarge { k_max, max: MAX_BRANCH_GATES });
-    }
-    let mut genome_seeds = Vec::with_capacity(seeds.len());
-    for (index, seed) in seeds.iter().enumerate() {
-        genome_seeds.push(
-            encode_seed(seed, d, k_max).map_err(|t_count| KtError::SeedInfeasible {
-                seed: index,
-                t_count,
-                k_max,
-            })?,
-        );
-    }
+    let genome_seeds: Vec<Vec<usize>> = seeds.iter().map(|seed| encode_seed(seed, k_max)).collect();
     if k_max == 0 {
-        // Zero budget: the space *is* the Clifford space. Delegate to the
-        // classic search (bit-identical trace) and widen the result.
-        let clifford_seeds: Vec<Vec<usize>> =
-            genome_seeds.iter().map(|g| g[..d].to_vec()).collect();
-        let r = run_cafqa_on(engine, ansatz, hamiltonian, penalties, &clifford_seeds, opts);
+        // Zero budget: the space *is* the Clifford space, and the genomes
+        // are the seeds' 4-ary forms. Delegate to the classic search
+        // (bit-identical trace) and widen the result.
+        let r =
+            run_to_completion(engine, ansatz, hamiltonian, problem.penalties, &genome_seeds, opts)?;
         return Ok(CafqaKtResult {
             best_config: widen_clifford_config(&r.best_config),
             energy: r.energy,
@@ -546,8 +486,9 @@ pub fn run_cafqa_kt_on(
         });
     }
 
-    let mut session = kt_session(engine, ansatz, hamiltonian, &penalties, opts.screen_tolerance)
-        .ok_or(KtError::NotCompilable)?;
+    let mut session =
+        kt_session(engine, ansatz, hamiltonian, &problem.penalties, opts.screen_tolerance)
+            .ok_or(CafqaError::NotCompilable)?;
 
     let space = kt_search_space(d, k_max);
     let mut raw_trace: Vec<(f64, f64)> = Vec::new();
@@ -599,7 +540,7 @@ pub fn run_cafqa_kt_on(
 mod tests {
     use super::*;
     use cafqa_circuit::EfficientSu2;
-    use cafqa_clifford::CliffordTState;
+    use cafqa_clifford::{CliffordTState, MAX_BRANCH_GATES};
 
     #[test]
     fn t_counting() {
@@ -628,11 +569,10 @@ mod tests {
         }
         // Encode ∘ decode is the identity on feasible configurations.
         for config in [vec![0, 2, 4, 6, 0], vec![1, 0, 0, 0, 7], vec![3, 6, 1, 0, 2]] {
-            let genome = encode_seed(&config, d, k_max).unwrap();
+            let genome = encode_seed(&config, k_max);
+            assert_eq!(genome.len(), d + k_max);
             assert_eq!(decode_genome(&genome, d), config);
         }
-        // Over-budget seeds report their T count.
-        assert_eq!(encode_seed(&[1, 1, 1, 0, 0], d, k_max), Err(3));
     }
 
     #[test]
@@ -643,12 +583,12 @@ mod tests {
         // The old implementation panicked post-search on infeasible
         // incumbents; now over-budget seeds fail up front, structured.
         let err = run_cafqa_kt(&ansatz, &h, Vec::new(), 1, &[vec![1, 1]], &opts).unwrap_err();
-        assert_eq!(err, KtError::SeedInfeasible { seed: 0, t_count: 2, k_max: 1 });
+        assert_eq!(err, CafqaError::SeedInfeasible { seed: 0, t_count: 2, k_max: 1 });
         let err =
             run_cafqa_kt(&ansatz, &h, Vec::new(), MAX_BRANCH_GATES + 1, &[], &opts).unwrap_err();
         assert_eq!(
             err,
-            KtError::BudgetTooLarge { k_max: MAX_BRANCH_GATES + 1, max: MAX_BRANCH_GATES }
+            CafqaError::BudgetTooLarge { k_max: MAX_BRANCH_GATES + 1, max: MAX_BRANCH_GATES }
         );
         assert!(err.to_string().contains("branch-engine limit"));
     }
@@ -674,7 +614,7 @@ mod tests {
         let h: PauliOp = "Z".parse().unwrap();
         let opts = CafqaOptions { warmup: 4, iterations: 4, ..Default::default() };
         let err = run_cafqa_kt(&Scaled, &h, Vec::new(), 1, &[], &opts).unwrap_err();
-        assert_eq!(err, KtError::NotCompilable);
+        assert_eq!(err, CafqaError::NotCompilable);
         assert!(err.to_string().contains("Clifford+T template"));
         // A zero budget still delegates to the Clifford search, whose
         // non-compiled path re-prepares every candidate.

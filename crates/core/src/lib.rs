@@ -17,6 +17,10 @@
 //!   (e.g. [`maxcut`] problems).
 //! - [`run_cafqa_kt`] — the beyond-Clifford CAFQA+kT extension (§8).
 //!
+//! Every entry point validates its inputs once, through
+//! [`CafqaProblem::new`]; the fallible ones return the one
+//! [`CafqaError`].
+//!
 //! # Examples
 //!
 //! ```
@@ -47,22 +51,22 @@ pub mod metrics;
 pub mod microbench;
 mod objective;
 mod polish;
+mod problem;
 mod runner;
 
 pub use engine::{default_workers, ExecEngine};
 pub use fingerprint::{coefficient_vector, family_fingerprint, job_fingerprint};
-pub use ising::{
-    classify_ising, solve_ising_batch_on, IsingError, IsingFastPath, IsingForm, IsingInstance,
-};
+pub use ising::{classify_ising, solve_ising_batch_on, IsingFastPath, IsingForm, IsingInstance};
 pub use kt::{
     kt_session, run_cafqa_kt, run_cafqa_kt_on, t_count_of, widen_clifford_config, CafqaKtResult,
-    KtError, KtPolishSession,
+    KtPolishSession,
 };
 pub use objective::{CliffordObjective, EvalScratch, ObjectiveValue, Penalty, PolishSession};
 pub use polish::{PolishMove, PrefixCache, PrefixState, TierKernel};
+pub use problem::{AngleGrid, CafqaError, CafqaProblem, IsingError, KtError, ResumeError};
 pub use runner::{
     polish_on, polish_pair_list, run_cafqa, run_cafqa_on, run_cafqa_resumable_on, CafqaOptions,
-    CafqaResult, MolecularCafqa, PolishOutcome, ResumeError, RunControl, RunProgress, RunStatus,
+    CafqaResult, MolecularCafqa, PolishOutcome, RunControl, RunProgress, RunStatus,
     SearchCheckpoint, SearchPoint,
 };
 

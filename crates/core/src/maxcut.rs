@@ -86,11 +86,13 @@ impl Graph {
     /// Exact maximum cut by exhaustive search over a Gray-code walk:
     /// step `k` moves exactly vertex `trailing_zeros(k)` across the
     /// partition, so each of the `2^n` assignments costs one O(degree)
-    /// cut update instead of an O(|E|) rescan. The walk visits the same
-    /// assignments as the plain enumeration
+    /// cut update instead of an O(|E|) rescan. The walk only *selects*
+    /// the best assignment (`k ^ (k >> 1)` at step `k`); the returned
+    /// value is [`cut_value`](Self::cut_value) of it, recomputed from
+    /// scratch, so the 2^n-step accumulation drift never leaves this
+    /// function and the result equals the plain enumeration
     /// ([`max_cut_exact_rescan`](Self::max_cut_exact_rescan), kept as
-    /// the test oracle) and agrees with it to floating-point
-    /// accumulation order.
+    /// the test oracle) bit for bit.
     ///
     /// # Panics
     ///
@@ -109,15 +111,19 @@ impl Graph {
         let mut side = vec![0u8; self.n];
         let mut cut = 0.0f64;
         let mut best = 0.0f64;
+        let mut best_bits = 0u64;
         for k in 1u64..(1u64 << self.n) {
             let q = k.trailing_zeros() as usize;
             for &(v, w) in &adj[q] {
                 cut += if side[q] == side[v] { w } else { -w };
             }
             side[q] ^= 1;
-            best = best.max(cut);
+            if cut > best {
+                best = cut;
+                best_bits = k ^ (k >> 1);
+            }
         }
-        best
+        self.cut_value(best_bits)
     }
 
     /// The pre-Gray-code exhaustive loop, one full `O(|E|)` rescan per
@@ -225,6 +231,17 @@ mod tests {
             let fast = g.max_cut_exact();
             let slow = g.max_cut_exact_rescan();
             assert!((fast - slow).abs() < 1e-9, "fast {fast} vs rescan {slow}");
+        }
+    }
+
+    #[test]
+    fn gray_code_walk_equals_rescan_bitwise_on_wide_graphs() {
+        // 2^n accumulated updates drift by up to ~1e-10 here; only the
+        // from-scratch recomputation at the winning assignment matches.
+        for (n, seed) in [(18, 0), (18, 1), (18, 2), (18, 3), (20, 0), (20, 1)] {
+            let g = Graph::random_weighted(n, 0.3, seed);
+            let (fast, slow) = (g.max_cut_exact(), g.max_cut_exact_rescan());
+            assert_eq!(fast.to_bits(), slow.to_bits(), "n {n} seed {seed}: {fast} vs {slow}");
         }
     }
 

@@ -25,6 +25,7 @@ use crate::engine::ExecEngine;
 use crate::ising::{try_ising_fast_path, IsingFastPath};
 use crate::objective::{CliffordObjective, ObjectiveValue, Penalty, PolishSession};
 use crate::polish::{incumbent_or_origin, search_trace, Greedy, Neighborhood, Phase, PolishMove};
+use crate::problem::{AngleGrid, CafqaError, CafqaProblem};
 
 /// Configuration for a CAFQA run.
 ///
@@ -164,9 +165,13 @@ use crate::polish::{incumbent_or_origin, search_trace, Greedy, Neighborhood, Pha
 /// - [`IsingFastPath::Off`] disables routing entirely; use it to
 ///   measure the unrouted baseline or pin a legacy BO trace on an
 ///   Ising-class instance.
-/// - [`IsingFastPath::Force`] panics instead of falling back — for
+/// - [`IsingFastPath::Force`] rejects instead of falling back — for
 ///   services that know their workload is Ising-class and want
-///   misclassification loud rather than 100× slower.
+///   misclassification loud rather than 100× slower. The fallible entry
+///   points ([`run_cafqa_resumable_on`], and
+///   [`run_cafqa_kt_on`](crate::run_cafqa_kt_on) at `k_max = 0`) return
+///   [`CafqaError::NotIsingClass`]; [`run_cafqa`] and [`run_cafqa_on`]
+///   panic with that error's message.
 ///
 /// On routed instances the result is an ordinary [`CafqaResult`]: the
 /// reduced-space winner and every provided seed are evaluated through
@@ -236,7 +241,7 @@ pub struct CafqaOptions {
     /// instances through the reduced-space solver and everything else
     /// through the full search bit-for-bit unchanged;
     /// [`Off`](IsingFastPath::Off) never routes;
-    /// [`Force`](IsingFastPath::Force) panics on unroutable instances.
+    /// [`Force`](IsingFastPath::Force) rejects unroutable instances.
     /// See the [problem-structure
     /// routing](Self#problem-structure-routing) notes.
     pub ising_fast_path: IsingFastPath,
@@ -376,7 +381,7 @@ impl CafqaResult {
 pub struct SearchCheckpoint {
     /// The [`job_fingerprint`](crate::fingerprint::job_fingerprint) of
     /// the job this checkpoint belongs to; resuming under a different
-    /// fingerprint is a [`ResumeError::FingerprintMismatch`]. `0` skips
+    /// fingerprint is a [`CafqaError::FingerprintMismatch`]. `0` skips
     /// the check (for callers managing identity themselves).
     pub fingerprint: u64,
     /// Completed evaluations `(config, energy, penalized)` in fold order.
@@ -414,44 +419,15 @@ pub enum RunStatus {
     Suspended(SearchCheckpoint),
 }
 
-/// A checkpoint that cannot be resumed against the given job.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ResumeError {
-    /// The checkpoint was recorded for a different job fingerprint.
-    FingerprintMismatch {
-        /// The submitted job's fingerprint.
-        expected: u64,
-        /// The checkpoint's recorded fingerprint.
-        found: u64,
-    },
-    /// Replay proposed a different configuration than the checkpoint
-    /// recorded at this history index — the checkpoint does not belong
-    /// to this (job, seed) stream.
-    HistoryDiverged {
-        /// First diverging index into [`SearchCheckpoint::history`].
-        index: usize,
-    },
-}
-
-impl std::fmt::Display for ResumeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ResumeError::FingerprintMismatch { expected, found } => write!(
-                f,
-                "checkpoint fingerprint {found:#018x} does not match job {expected:#018x}"
-            ),
-            ResumeError::HistoryDiverged { index } => {
-                write!(f, "replayed proposal diverged from checkpoint history at index {index}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ResumeError {}
-
 /// Runs the CAFQA discrete search for an arbitrary Hamiltonian/ansatz
 /// pair with optional penalties and seed configurations, on the
 /// process-global execution engine.
+///
+/// # Panics
+///
+/// Panics with the [`CafqaError`]'s message when the inputs fail
+/// [`CafqaProblem::new`] on the Clifford grid; [`run_cafqa_resumable_on`]
+/// returns the same error instead.
 pub fn run_cafqa(
     ansatz: &dyn Ansatz,
     hamiltonian: &PauliOp,
@@ -466,6 +442,10 @@ pub fn run_cafqa(
 /// the search — warm-up, acquisition batches, surrogate scoring, polish
 /// sweeps — dispatches through this one engine, and the result is
 /// bit-identical at any worker count (including a serial engine).
+///
+/// # Panics
+///
+/// As for [`run_cafqa`].
 pub fn run_cafqa_on(
     engine: &ExecEngine,
     ansatz: &dyn Ansatz,
@@ -474,7 +454,22 @@ pub fn run_cafqa_on(
     seeds: &[Vec<usize>],
     opts: &CafqaOptions,
 ) -> CafqaResult {
-    let status = run_cafqa_resumable_on(
+    run_to_completion(engine, ansatz, hamiltonian, penalties, seeds, opts)
+        .unwrap_or_else(|err| panic!("{err}"))
+}
+
+/// [`run_cafqa_resumable_on`] with no checkpoint and no suspension: the
+/// fallible form of [`run_cafqa_on`].
+pub(crate) fn run_to_completion(
+    engine: &ExecEngine,
+    ansatz: &dyn Ansatz,
+    hamiltonian: &PauliOp,
+    penalties: Vec<Penalty>,
+    seeds: &[Vec<usize>],
+    opts: &CafqaOptions,
+) -> Result<CafqaResult, CafqaError> {
+    let mut control = |_| RunControl::Continue;
+    match run_cafqa_resumable_on(
         engine,
         ansatz,
         hamiltonian,
@@ -482,14 +477,10 @@ pub fn run_cafqa_on(
         seeds,
         opts,
         None,
-        &mut |_| RunControl::Continue,
-    );
-    match status {
-        Ok(RunStatus::Complete(result)) => result,
-        Ok(RunStatus::Suspended(_)) => {
-            unreachable!("an always-Continue control cannot suspend")
-        }
-        Err(err) => unreachable!("no checkpoint was supplied: {err}"),
+        &mut control,
+    )? {
+        RunStatus::Complete(result) => Ok(result),
+        RunStatus::Suspended(_) => unreachable!("an always-Continue control cannot suspend"),
     }
 }
 
@@ -525,8 +516,18 @@ pub fn run_cafqa_on(
 /// [`job_fingerprint`](crate::fingerprint::job_fingerprint); replayed
 /// proposals are additionally checked against the recorded
 /// configurations, so a checkpoint from a different job or seed stream
-/// fails with a structured [`ResumeError`] instead of silently
-/// corrupting the search.
+/// fails with a structured error instead of silently corrupting the
+/// search.
+///
+/// # Errors
+///
+/// First the inputs are validated on the Clifford grid: any
+/// [`CafqaProblem::new`] failure ([`CafqaError::QubitMismatch`],
+/// [`CafqaError::BadSeed`], or [`CafqaError::NotIsingClass`] under
+/// [`IsingFastPath::Force`]) is returned before any search state exists.
+/// Then the checkpoint: [`CafqaError::FingerprintMismatch`] when its
+/// fingerprint differs from the job's, [`CafqaError::HistoryDiverged`]
+/// when replay leaves its recorded history.
 #[allow(clippy::too_many_arguments)]
 pub fn run_cafqa_resumable_on(
     engine: &ExecEngine,
@@ -537,13 +538,20 @@ pub fn run_cafqa_resumable_on(
     opts: &CafqaOptions,
     resume: Option<&SearchCheckpoint>,
     control: &mut dyn FnMut(RunProgress) -> RunControl,
-) -> Result<RunStatus, ResumeError> {
+) -> Result<RunStatus, CafqaError> {
+    let problem =
+        CafqaProblem::new(ansatz, hamiltonian, penalties, seeds, AngleGrid::Clifford, opts)?;
     if let Some(checkpoint) = resume {
         if checkpoint.fingerprint != 0 {
-            let expected =
-                crate::fingerprint::job_fingerprint(ansatz, hamiltonian, &penalties, seeds, opts);
+            let expected = crate::fingerprint::job_fingerprint(
+                ansatz,
+                hamiltonian,
+                &problem.penalties,
+                seeds,
+                opts,
+            );
             if checkpoint.fingerprint != expected {
-                return Err(ResumeError::FingerprintMismatch {
+                return Err(CafqaError::FingerprintMismatch {
                     expected,
                     found: checkpoint.fingerprint,
                 });
@@ -554,15 +562,11 @@ pub fn run_cafqa_resumable_on(
     // reduced-space solve (see the routing notes on `CafqaOptions`);
     // everything else continues below, bit-for-bit as if the hook did
     // not exist.
-    if opts.ising_fast_path != IsingFastPath::Off {
-        if let Some(result) =
-            try_ising_fast_path(engine, ansatz, hamiltonian, &penalties, seeds, opts)
-        {
-            return Ok(RunStatus::Complete(result));
-        }
+    if let Some(result) = try_ising_fast_path(engine, &problem) {
+        return Ok(RunStatus::Complete(result));
     }
     let mut objective = CliffordObjective::new(ansatz, hamiltonian).with_engine(engine.clone());
-    for p in penalties {
+    for p in problem.penalties {
         objective = objective.with_penalty(p);
     }
     let space = SearchSpace::uniform(objective.num_parameters(), 4);
@@ -628,7 +632,7 @@ pub fn run_cafqa_resumable_on(
         engine,
     );
     if let Some(index) = diverged {
-        return Err(ResumeError::HistoryDiverged { index });
+        return Err(CafqaError::HistoryDiverged { index });
     }
     if !finished {
         let fingerprint = resume.map_or(0, |c| c.fingerprint);

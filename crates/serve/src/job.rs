@@ -1,8 +1,8 @@
 //! Job API types: submissions, statuses, outcomes, and the structured
 //! errors that replace every panic on the serving path.
 
-use cafqa_circuit::{Ansatz, EfficientSu2};
-use cafqa_core::{classify_ising, CafqaOptions, CafqaResult, IsingFastPath, Penalty};
+use cafqa_circuit::EfficientSu2;
+use cafqa_core::{AngleGrid, CafqaError, CafqaOptions, CafqaProblem, CafqaResult, Penalty};
 use cafqa_pauli::PauliOp;
 
 /// Opaque handle to a submitted job.
@@ -58,7 +58,8 @@ pub struct JobSpec {
     /// Sector penalties (empty for unconstrained problems).
     pub penalties: Vec<PenaltySpec>,
     /// Seed configurations (e.g. the HF state). Each must have exactly
-    /// `ansatz.num_parameters()` entries in `0..4`.
+    /// `ansatz.num_parameters()` entries in `0..4` (checked at admission
+    /// by [`CafqaProblem::new`]).
     pub seeds: Vec<Vec<usize>>,
     /// Search budget and determinism knobs.
     pub opts: CafqaOptions,
@@ -75,21 +76,21 @@ impl JobSpec {
         self.penalties.iter().map(PenaltySpec::build).collect()
     }
 
-    /// Validates everything that could trip a `panic!`/`assert!` deeper
-    /// in the stack, so the scheduler thread only ever runs specs that
-    /// cannot kill it. Returns the first violation as a structured
-    /// [`ServeError`].
+    /// Admission: the core problem contract ([`CafqaProblem::new`] on
+    /// the Clifford grid — the same check, and the same error, as
+    /// [`run_cafqa_resumable_on`](cafqa_core::run_cafqa_resumable_on)),
+    /// then the server's own policy of rejecting non-finite inputs,
+    /// which could only yield a NaN or infinite energy.
     pub(crate) fn validate(&self) -> Result<(), ServeError> {
-        let nq = self.ansatz.num_qubits();
-        if self.hamiltonian.num_qubits() != nq {
-            return Err(ServeError::QubitMismatch {
-                what: "hamiltonian",
-                ansatz: nq,
-                found: self.hamiltonian.num_qubits(),
-            });
-        }
-        // A non-finite coefficient, target or weight can only yield a NaN
-        // or infinite energy.
+        CafqaProblem::new(
+            &self.ansatz,
+            &self.hamiltonian,
+            self.build_penalties(),
+            &self.seeds,
+            AngleGrid::Clifford,
+            &self.opts,
+        )
+        .map_err(ServeError::Invalid)?;
         let finite = |op: &PauliOp| op.iter().all(|(_, c)| c.re.is_finite() && c.im.is_finite());
         if !finite(&self.hamiltonian) {
             return Err(ServeError::NonFinite { what: "hamiltonian coefficient" });
@@ -100,50 +101,6 @@ impl JobSpec {
             }
             if !(p.target.is_finite() && p.weight.is_finite()) {
                 return Err(ServeError::NonFinite { what: "penalty target or weight" });
-            }
-            if p.op.num_qubits() != nq {
-                return Err(ServeError::QubitMismatch {
-                    what: "penalty operator",
-                    ansatz: nq,
-                    found: p.op.num_qubits(),
-                });
-            }
-        }
-        let d = self.ansatz.num_parameters();
-        for (index, seed) in self.seeds.iter().enumerate() {
-            if seed.len() != d {
-                return Err(ServeError::BadSeed {
-                    index,
-                    reason: format!("has {} entries, the ansatz has {d} parameters", seed.len()),
-                });
-            }
-            if let Some(&v) = seed.iter().find(|&&v| v >= 4) {
-                return Err(ServeError::BadSeed {
-                    index,
-                    reason: format!("entry {v} out of the Clifford angle range 0..4"),
-                });
-            }
-        }
-        // `IsingFastPath::Force` panics inside the runner when the
-        // instance cannot route — on a server that must become a
-        // rejection at the door. Accept Force only when routing is
-        // provably possible: no penalties, classified structure, and an
-        // ansatz that lifts eigenstates of the classified bases.
-        if self.opts.ising_fast_path == IsingFastPath::Force {
-            if !self.penalties.is_empty() {
-                return Err(ServeError::NotIsingClass {
-                    reason: "penalties require the full objective".into(),
-                });
-            }
-            let Some(form) = classify_ising(&self.hamiltonian) else {
-                return Err(ServeError::NotIsingClass {
-                    reason: "the Hamiltonian did not classify as Ising-class".into(),
-                });
-            };
-            if self.ansatz.eigenstate_config(0, &form.bases).is_none() {
-                return Err(ServeError::NotIsingClass {
-                    reason: "the ansatz has no eigenstate lift for the classified bases".into(),
-                });
             }
         }
         Ok(())
@@ -219,28 +176,10 @@ pub enum ServeError {
         /// The configured in-flight capacity.
         capacity: usize,
     },
-    /// An operator acts on a different register than the ansatz.
-    QubitMismatch {
-        /// Which operator ("hamiltonian" / "penalty operator").
-        what: &'static str,
-        /// The ansatz register width.
-        ansatz: usize,
-        /// The operator's width.
-        found: usize,
-    },
-    /// A seed configuration is malformed.
-    BadSeed {
-        /// Index into [`JobSpec::seeds`].
-        index: usize,
-        /// What is wrong with it.
-        reason: String,
-    },
-    /// `IsingFastPath::Force` was requested for an instance that cannot
-    /// route (the runner would panic; the server rejects instead).
-    NotIsingClass {
-        /// Why the instance cannot take the fast path.
-        reason: String,
-    },
+    /// The spec fails the core problem contract — exactly the error
+    /// [`run_cafqa_resumable_on`](cafqa_core::run_cafqa_resumable_on)
+    /// returns for the same inputs.
+    Invalid(CafqaError),
     /// A coefficient, penalty target or penalty weight is NaN or
     /// infinite (the search could only report a non-finite energy).
     NonFinite {
@@ -268,13 +207,7 @@ impl std::fmt::Display for ServeError {
             ServeError::QueueFull { capacity } => {
                 write!(f, "job queue at capacity ({capacity} in flight)")
             }
-            ServeError::QubitMismatch { what, ansatz, found } => {
-                write!(f, "{what} acts on {found} qubits, the ansatz on {ansatz}")
-            }
-            ServeError::BadSeed { index, reason } => write!(f, "seed {index} {reason}"),
-            ServeError::NotIsingClass { reason } => {
-                write!(f, "ising_fast_path = Force rejected: {reason}")
-            }
+            ServeError::Invalid(err) => write!(f, "invalid problem: {err}"),
             ServeError::NonFinite { what } => write!(f, "{what} is not finite"),
             ServeError::ShuttingDown => write!(f, "server is shutting down"),
             ServeError::UnknownJob(id) => write!(f, "unknown {id}"),
@@ -285,64 +218,3 @@ impl std::fmt::Display for ServeError {
 }
 
 impl std::error::Error for ServeError {}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use cafqa_linalg::Complex64;
-    use cafqa_pauli::PauliString;
-
-    fn op(n: usize, terms: &[(f64, &str)]) -> PauliOp {
-        let mut h = PauliOp::zero(n);
-        for &(w, s) in terms {
-            h.add_term(Complex64::from(w), s.parse::<PauliString>().unwrap());
-        }
-        h
-    }
-
-    #[test]
-    fn validation_rejects_each_malformation_structurally() {
-        let ansatz = EfficientSu2::new(3, 1);
-        let h = op(3, &[(1.0, "ZZI")]);
-        let good = JobSpec::new(ansatz.clone(), h.clone(), CafqaOptions::quick());
-        assert!(good.validate().is_ok());
-        // Register mismatch.
-        let bad = JobSpec::new(ansatz.clone(), op(2, &[(1.0, "ZZ")]), CafqaOptions::quick());
-        assert_eq!(
-            bad.validate(),
-            Err(ServeError::QubitMismatch { what: "hamiltonian", ansatz: 3, found: 2 })
-        );
-        // Penalty register mismatch.
-        let mut bad = good.clone();
-        bad.penalties.push(PenaltySpec::new("n", op(4, &[(1.0, "ZIII")]), 1.0, 1.0));
-        assert!(matches!(
-            bad.validate(),
-            Err(ServeError::QubitMismatch { what: "penalty operator", .. })
-        ));
-        // Wrong seed length and out-of-range seed entry.
-        let mut bad = good.clone();
-        bad.seeds.push(vec![0; 3]);
-        assert!(matches!(bad.validate(), Err(ServeError::BadSeed { index: 0, .. })));
-        let mut bad = good.clone();
-        bad.seeds.push(vec![0; 12]);
-        bad.seeds.push(vec![4; 12]);
-        assert!(matches!(bad.validate(), Err(ServeError::BadSeed { index: 1, .. })));
-        // Force on a non-Ising instance rejects instead of panicking.
-        let mut bad = JobSpec::new(
-            ansatz.clone(),
-            op(3, &[(0.5, "XII"), (0.5, "ZII")]),
-            CafqaOptions::quick(),
-        );
-        bad.opts.ising_fast_path = IsingFastPath::Force;
-        assert!(matches!(bad.validate(), Err(ServeError::NotIsingClass { .. })));
-        // Force on a penalized instance rejects too.
-        let mut bad = good.clone();
-        bad.opts.ising_fast_path = IsingFastPath::Force;
-        bad.penalties.push(PenaltySpec::new("n", op(3, &[(1.0, "ZII")]), 1.0, 1.0));
-        assert!(matches!(bad.validate(), Err(ServeError::NotIsingClass { .. })));
-        // Force on a routable instance is accepted.
-        let mut ok = good.clone();
-        ok.opts.ising_fast_path = IsingFastPath::Force;
-        assert!(ok.validate().is_ok());
-    }
-}

@@ -35,8 +35,18 @@
 //! # Panic-free serving
 //!
 //! Every error reachable from the serve API is a structured
-//! [`ServeError`]: malformed specs reject at [`CafqaServer::submit`],
-//! oversized Ising routes reject at validation, a full queue
+//! [`ServeError`]. [`CafqaServer::submit`] admits a spec through the
+//! same validator the search runs,
+//! [`CafqaProblem::new`](cafqa_core::CafqaProblem::new): register
+//! widths, seed lengths and ranges, and
+//! [`IsingFastPath::Force`](cafqa_core::IsingFastPath::Force) routability
+//! are core's checks, and a failure rejects as
+//! [`ServeError::Invalid`] carrying the very
+//! [`CafqaError`](cafqa_core::CafqaError) that
+//! [`run_cafqa_resumable_on`](cafqa_core::run_cafqa_resumable_on) would
+//! return. The server adds one policy of its own: non-finite
+//! coefficients, targets and weights reject as [`ServeError::NonFinite`]
+//! (the search would only report a NaN or infinite energy). A full queue
 //! backpressures with [`ServeError::QueueFull`], and runner failures
 //! surface through [`CafqaServer::wait`] as [`ServeError::JobFailed`].
 //!

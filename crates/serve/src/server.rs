@@ -4,13 +4,11 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 use cafqa_core::fingerprint::{coefficient_vector, family_fingerprint, job_fingerprint};
-use cafqa_core::{
-    run_cafqa_resumable_on, CafqaResult, ExecEngine, RunControl, RunStatus, SearchCheckpoint,
-};
+use cafqa_core::{run_cafqa_resumable_on, ExecEngine, RunControl, RunStatus, SearchCheckpoint};
 
 use crate::cache::{CacheRecord, ResultCache};
 use crate::job::{Disposition, JobId, JobOutcome, JobSpec, JobStatus, ServeError};
@@ -138,13 +136,15 @@ impl CafqaServer {
         CafqaServer { shared, scheduler: Some(scheduler) }
     }
 
-    /// Submits a job. Validation failures, a full queue, and a
+    /// Submits a job. An invalid problem (the core contract of
+    /// [`CafqaProblem::new`](cafqa_core::CafqaProblem::new), as
+    /// [`ServeError::Invalid`]), a non-finite input, a full queue, and a
     /// shutting-down server reject with a structured [`ServeError`] —
     /// never a panic. An exact cache hit completes the job immediately
     /// (no queue slot consumed); otherwise the job enters the
     /// round-robin queue, possibly warm-started from the nearest cached
     /// same-family completion.
-    pub fn submit(&self, spec: JobSpec) -> Result<JobId, ServeError> {
+    pub fn submit(&self, mut spec: JobSpec) -> Result<JobId, ServeError> {
         let mut state = self.shared.state.lock().expect("server state poisoned");
         if state.shutdown {
             state.stats.rejected += 1;
@@ -155,8 +155,11 @@ impl CafqaServer {
             return Err(err);
         }
         let penalties = spec.build_penalties();
-        let fingerprint_submitted =
-            job_fingerprint(&spec.ansatz, &spec.hamiltonian, &penalties, &spec.seeds, &spec.opts);
+        let key = |spec: &JobSpec| {
+            job_fingerprint(&spec.ansatz, &spec.hamiltonian, &penalties, &spec.seeds, &spec.opts)
+        };
+        let fingerprint_submitted = key(&spec);
+        let mut fingerprint_effective = fingerprint_submitted;
         let family = family_fingerprint(
             &spec.ansatz,
             &spec.hamiltonian,
@@ -167,108 +170,64 @@ impl CafqaServer {
         let id = JobId(state.next_id);
         state.next_id += 1;
         state.stats.submitted += 1;
-        // Exact hit on the as-submitted spec: completed on the spot.
-        if let Some(record) = state.cache.get(fingerprint_submitted) {
-            let outcome = JobOutcome {
-                id,
-                result: (*record.result).clone(),
-                disposition: Disposition::CacheHit,
-                seeds_used: record.seeds_used.clone(),
-            };
-            let entry = JobEntry {
-                spec,
-                fingerprint_submitted,
-                fingerprint_effective: fingerprint_submitted,
-                family,
-                disposition: Disposition::CacheHit,
-                status: JobStatus::Completed,
-                checkpoint: None,
-                outcome: Some(outcome),
-                error: None,
-                cancel: Arc::new(AtomicBool::new(false)),
-            };
-            state.jobs.insert(id.0, entry);
-            state.stats.completed += 1;
-            state.stats.cache_hits += 1;
-            drop(state);
-            self.shared.done.notify_all();
-            return Ok(id);
-        }
-        // Backpressure: only jobs that will occupy the scheduler count.
-        if state.in_flight >= self.shared.opts.capacity {
-            state.stats.rejected += 1;
-            return Err(ServeError::QueueFull { capacity: self.shared.opts.capacity });
-        }
-        // Near hit: warm-start from the nearest cached family member.
-        let mut spec = spec;
         let mut disposition = Disposition::Fresh;
-        if self.shared.opts.warm_start {
-            let coefficients = coefficient_vector(&spec.hamiltonian);
-            if let Some(donor) =
-                state.cache.nearest_in_family(family, &coefficients, fingerprint_submitted)
-            {
-                spec.seeds.insert(0, donor.incumbent);
-                disposition = Disposition::WarmStarted { distance: donor.distance };
+        let answer = |record: &CacheRecord| ((*record.result).clone(), record.seeds_used.clone());
+        // An exact hit on the as-submitted spec completes on the spot,
+        // without taking a queue slot.
+        let mut hit = state.cache.get(fingerprint_submitted).map(answer);
+        if hit.is_none() {
+            // Backpressure: only jobs that will occupy the scheduler count.
+            if state.in_flight >= self.shared.opts.capacity {
+                state.stats.rejected += 1;
+                return Err(ServeError::QueueFull { capacity: self.shared.opts.capacity });
+            }
+            // Near hit: warm-start from the nearest cached family member.
+            if self.shared.opts.warm_start {
+                let coefficients = coefficient_vector(&spec.hamiltonian);
+                if let Some(donor) =
+                    state.cache.nearest_in_family(family, &coefficients, fingerprint_submitted)
+                {
+                    spec.seeds.insert(0, donor.incumbent);
+                    disposition = Disposition::WarmStarted { distance: donor.distance };
+                    fingerprint_effective = key(&spec);
+                    // The effective spec may itself be cached (same donor
+                    // chosen on an earlier identical submission whose
+                    // as-submitted alias was since evicted): still an
+                    // exact hit.
+                    hit = state.cache.get(fingerprint_effective).map(answer);
+                }
             }
         }
-        let fingerprint_effective = match disposition {
-            Disposition::Fresh => fingerprint_submitted,
-            _ => job_fingerprint(
-                &spec.ansatz,
-                &spec.hamiltonian,
-                &penalties,
-                &spec.seeds,
-                &spec.opts,
-            ),
-        };
-        // The effective spec may itself be cached (same donor chosen on
-        // an earlier identical submission whose as-submitted alias was
-        // since evicted): still an exact hit.
-        if fingerprint_effective != fingerprint_submitted {
-            if let Some(record) = state.cache.get(fingerprint_effective) {
-                let outcome = JobOutcome {
-                    id,
-                    result: (*record.result).clone(),
-                    disposition: Disposition::CacheHit,
-                    seeds_used: record.seeds_used.clone(),
-                };
-                let entry = JobEntry {
-                    spec,
-                    fingerprint_submitted,
-                    fingerprint_effective,
-                    family,
-                    disposition: Disposition::CacheHit,
-                    status: JobStatus::Completed,
-                    checkpoint: None,
-                    outcome: Some(outcome),
-                    error: None,
-                    cancel: Arc::new(AtomicBool::new(false)),
-                };
-                state.jobs.insert(id.0, entry);
-                state.stats.completed += 1;
-                state.stats.cache_hits += 1;
-                drop(state);
-                self.shared.done.notify_all();
-                return Ok(id);
-            }
-        }
+        let is_hit = hit.is_some();
         let entry = JobEntry {
             spec,
             fingerprint_submitted,
             fingerprint_effective,
             family,
-            disposition,
-            status: JobStatus::Queued,
+            disposition: if is_hit { Disposition::CacheHit } else { disposition },
+            status: if is_hit { JobStatus::Completed } else { JobStatus::Queued },
             checkpoint: None,
-            outcome: None,
+            outcome: hit.map(|(result, seeds_used)| JobOutcome {
+                id,
+                result,
+                disposition: Disposition::CacheHit,
+                seeds_used,
+            }),
             error: None,
             cancel: Arc::new(AtomicBool::new(false)),
         };
         state.jobs.insert(id.0, entry);
-        state.queue.push_back(id.0);
-        state.in_flight += 1;
-        drop(state);
-        self.shared.wake.notify_all();
+        if is_hit {
+            state.stats.completed += 1;
+            state.stats.cache_hits += 1;
+            drop(state);
+            self.shared.done.notify_all();
+        } else {
+            state.queue.push_back(id.0);
+            state.in_flight += 1;
+            drop(state);
+            self.shared.wake.notify_all();
+        }
         Ok(id)
     }
 
@@ -351,12 +310,18 @@ impl Drop for CafqaServer {
     }
 }
 
-/// One slice of one job, run outside the state lock.
-enum SliceOutcome {
-    Completed(CafqaResult),
-    Suspended(SearchCheckpoint),
-    Cancelled,
-    Failed(String),
+/// Moves an in-flight job to a terminal status: frees its queue slot,
+/// counts it, and wakes every waiter.
+fn finish(shared: &Shared, mut state: MutexGuard<'_, ServerState>, id: u64, status: JobStatus) {
+    state.jobs.get_mut(&id).expect("in-flight jobs exist").status = status;
+    state.in_flight -= 1;
+    match status {
+        JobStatus::Completed => state.stats.completed += 1,
+        JobStatus::Cancelled => state.stats.cancelled += 1,
+        _ => state.stats.failed += 1,
+    }
+    drop(state);
+    shared.done.notify_all();
 }
 
 fn scheduler_loop(shared: &Shared) {
@@ -380,11 +345,7 @@ fn scheduler_loop(shared: &Shared) {
             let mut state = shared.state.lock().expect("server state poisoned");
             let entry = state.jobs.get_mut(&id).expect("queued jobs exist");
             if entry.cancel.load(Ordering::Relaxed) {
-                entry.status = JobStatus::Cancelled;
-                state.in_flight -= 1;
-                state.stats.cancelled += 1;
-                drop(state);
-                shared.done.notify_all();
+                finish(shared, state, id, JobStatus::Cancelled);
                 continue;
             }
             entry.status = JobStatus::Running;
@@ -396,54 +357,50 @@ fn scheduler_loop(shared: &Shared) {
                 shared.opts.slice_batches.max(1),
             )
         };
-        // Run one slice on the engine, lock released. The spec was
-        // validated at admission, the checkpoint is self-produced, and
-        // every runner error path is structured — nothing here can
-        // panic the scheduler.
-        let outcome = {
-            let cancel_seen = &cancel;
-            let status = run_cafqa_resumable_on(
-                &shared.engine,
-                &spec.ansatz,
-                &spec.hamiltonian,
-                penalties,
-                &spec.seeds,
-                &spec.opts,
-                checkpoint.as_ref(),
-                &mut |progress| {
-                    if cancel_seen.load(Ordering::Relaxed) || progress.live_batches >= slice_batches
-                    {
-                        RunControl::Suspend
-                    } else {
-                        RunControl::Continue
-                    }
-                },
-            );
-            match status {
-                Ok(RunStatus::Complete(result)) => SliceOutcome::Completed(result),
-                Ok(RunStatus::Suspended(_)) if cancel.load(Ordering::Relaxed) => {
-                    SliceOutcome::Cancelled
+        // Run one slice on the engine, lock released. The spec passed the
+        // core problem contract at admission, the checkpoint is
+        // self-produced, and every runner error path is structured —
+        // nothing here can panic the scheduler.
+        let status = run_cafqa_resumable_on(
+            &shared.engine,
+            &spec.ansatz,
+            &spec.hamiltonian,
+            penalties,
+            &spec.seeds,
+            &spec.opts,
+            checkpoint.as_ref(),
+            &mut |progress| {
+                if cancel.load(Ordering::Relaxed) || progress.live_batches >= slice_batches {
+                    RunControl::Suspend
+                } else {
+                    RunControl::Continue
                 }
-                Ok(RunStatus::Suspended(checkpoint)) => SliceOutcome::Suspended(checkpoint),
-                Err(err) => SliceOutcome::Failed(err.to_string()),
-            }
-        };
+            },
+        );
         // Publish the slice result.
-        let mut state = shared.state.lock().expect("server state poisoned");
+        let mut guard = shared.state.lock().expect("server state poisoned");
+        let state = &mut *guard;
         state.stats.slices += 1;
-        match outcome {
-            SliceOutcome::Completed(result) => {
-                let entry = state.jobs.get_mut(&id).expect("running jobs exist");
-                entry.status = JobStatus::Completed;
-                let disposition = entry.disposition;
-                let outcome = JobOutcome {
+        let entry = state.jobs.get_mut(&id).expect("running jobs exist");
+        let terminal = match status {
+            Ok(RunStatus::Suspended(_)) if cancel.load(Ordering::Relaxed) => JobStatus::Cancelled,
+            Ok(RunStatus::Suspended(checkpoint)) => {
+                entry.status = JobStatus::Suspended;
+                entry.checkpoint = Some(checkpoint);
+                state.queue.push_back(id);
+                continue;
+            }
+            Ok(RunStatus::Complete(result)) => {
+                entry.outcome = Some(JobOutcome {
                     id: JobId(id),
                     result: result.clone(),
-                    disposition,
+                    disposition: entry.disposition,
                     seeds_used: entry.spec.seeds.clone(),
-                };
-                entry.outcome = Some(outcome);
-                let record = CacheRecord {
+                });
+                if matches!(entry.disposition, Disposition::WarmStarted { .. }) {
+                    state.stats.warm_starts += 1;
+                }
+                state.cache.insert(CacheRecord {
                     keys: if entry.fingerprint_submitted == entry.fingerprint_effective {
                         vec![entry.fingerprint_submitted]
                     } else {
@@ -454,39 +411,14 @@ fn scheduler_loop(shared: &Shared) {
                     incumbent: result.best_config.clone(),
                     result: Arc::new(result),
                     seeds_used: entry.spec.seeds.clone(),
-                };
-                state.cache.insert(record);
-                state.in_flight -= 1;
-                state.stats.completed += 1;
-                if matches!(state.jobs[&id].disposition, Disposition::WarmStarted { .. }) {
-                    state.stats.warm_starts += 1;
-                }
-                drop(state);
-                shared.done.notify_all();
+                });
+                JobStatus::Completed
             }
-            SliceOutcome::Suspended(checkpoint) => {
-                let entry = state.jobs.get_mut(&id).expect("running jobs exist");
-                entry.status = JobStatus::Suspended;
-                entry.checkpoint = Some(checkpoint);
-                state.queue.push_back(id);
+            Err(err) => {
+                entry.error = Some(err.to_string());
+                JobStatus::Failed
             }
-            SliceOutcome::Cancelled => {
-                let entry = state.jobs.get_mut(&id).expect("running jobs exist");
-                entry.status = JobStatus::Cancelled;
-                state.in_flight -= 1;
-                state.stats.cancelled += 1;
-                drop(state);
-                shared.done.notify_all();
-            }
-            SliceOutcome::Failed(message) => {
-                let entry = state.jobs.get_mut(&id).expect("running jobs exist");
-                entry.status = JobStatus::Failed;
-                entry.error = Some(message);
-                state.in_flight -= 1;
-                state.stats.failed += 1;
-                drop(state);
-                shared.done.notify_all();
-            }
-        }
+        };
+        finish(shared, guard, id, terminal);
     }
 }

@@ -11,7 +11,7 @@
 //!   never a panic; cancellation and backpressure behave as documented.
 
 use cafqa_circuit::EfficientSu2;
-use cafqa_core::{run_cafqa_on, CafqaOptions, CafqaResult, ExecEngine};
+use cafqa_core::{run_cafqa_on, CafqaError, CafqaOptions, CafqaResult, ExecEngine};
 use cafqa_linalg::Complex64;
 use cafqa_pauli::{PauliOp, PauliString};
 use cafqa_serve::{CafqaServer, Disposition, JobSpec, JobStatus, ServeError, ServeOptions};
@@ -239,11 +239,18 @@ fn backpressure_and_structured_rejections_never_panic() {
     let wrong_register = JobSpec::new(EfficientSu2::new(3, 1), op(2, &[(1.0, "ZZ")]), opts());
     assert!(matches!(
         server.submit(wrong_register),
-        Err(ServeError::QubitMismatch { what: "hamiltonian", ansatz: 3, found: 2 })
+        Err(ServeError::Invalid(CafqaError::QubitMismatch {
+            what: "hamiltonian",
+            ansatz: 3,
+            found: 2
+        }))
     ));
     let mut bad_seed = spec(1.0);
     bad_seed.seeds.push(vec![7; 12]);
-    assert!(matches!(server.submit(bad_seed), Err(ServeError::BadSeed { index: 0, .. })));
+    assert!(matches!(
+        server.submit(bad_seed),
+        Err(ServeError::Invalid(CafqaError::BadSeed { index: 0, .. }))
+    ));
     // Fill the queue with slow jobs, then hit the capacity wall.
     let mut slow = spec(1.0);
     slow.opts.iterations = 400;
